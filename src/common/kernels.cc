@@ -134,21 +134,6 @@ void ScalarExtractBits(const uint64_t* array_words, const uint64_t* seeds,
   if ((k & 63) != 0) *dst = word;
 }
 
-void ScalarExtractBitsFromCells(const uint64_t* array_words,
-                                const uint32_t* cells, uint32_t k,
-                                uint64_t* dst) {
-  uint64_t word = 0;
-  for (uint32_t j = 0; j < k; ++j) {
-    const uint32_t cell = cells[j];
-    word |= ((array_words[cell >> 6] >> (cell & 63)) & 1) << (j & 63);
-    if ((j & 63) == 63) {
-      *dst++ = word;
-      word = 0;
-    }
-  }
-  if ((k & 63) != 0) *dst = word;
-}
-
 // ------------------------------------------------------------------- routing
 
 void ScalarRouteBatch(const uint32_t* users, size_t n, uint64_t seed_mix,
@@ -194,7 +179,6 @@ constexpr KernelTable kScalarTable = {
     internal::ScalarXorPopcount2x4,
     internal::ScalarPopcountWords,
     internal::ScalarExtractBits,
-    internal::ScalarExtractBitsFromCells,
     internal::ScalarRouteBatch,
     internal::ScalarBandKeys,
     DispatchLevel::kScalar,

@@ -224,37 +224,6 @@ void Avx512ExtractBits(const uint64_t* array_words, const uint64_t* seeds,
   if ((k & 63) != 0) *dst = word;
 }
 
-void Avx512ExtractBitsFromCells(const uint64_t* array_words,
-                                const uint32_t* cells, uint32_t k,
-                                uint64_t* dst) {
-  const __m512i one = _mm512_set1_epi64(1);
-  const __m512i low6 = _mm512_set1_epi64(63);
-  uint64_t word = 0;
-  uint32_t j = 0;
-  for (; j + 8 <= k; j += 8) {
-    const __m512i cell = _mm512_cvtepu32_epi64(
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(cells + j)));
-    const __m512i gathered =
-        _mm512_i64gather_epi64(_mm512_srli_epi64(cell, 6), array_words, 8);
-    const __mmask8 lane_mask = _mm512_test_epi64_mask(
-        _mm512_srlv_epi64(gathered, _mm512_and_si512(cell, low6)), one);
-    word |= static_cast<uint64_t>(lane_mask) << (j & 63);
-    if ((j & 63) == 56) {
-      *dst++ = word;
-      word = 0;
-    }
-  }
-  for (; j < k; ++j) {
-    const uint32_t cell = cells[j];
-    word |= ((array_words[cell >> 6] >> (cell & 63)) & 1) << (j & 63);
-    if ((j & 63) == 63) {
-      *dst++ = word;
-      word = 0;
-    }
-  }
-  if ((k & 63) != 0) *dst = word;
-}
-
 // ------------------------------------------------------------------ routing
 
 void Avx512RouteBatch(const uint32_t* users, size_t n, uint64_t seed_mix,
@@ -334,7 +303,6 @@ constexpr KernelTable kAvx512Table = {
     Avx512XorPopcount2x4,
     Avx512PopcountWords,
     Avx512ExtractBits,
-    Avx512ExtractBitsFromCells,
     Avx512RouteBatch,
     Avx512BandKeys,
     DispatchLevel::kAvx512,

@@ -101,7 +101,6 @@ constexpr KernelTable kNeonTable = {
     NeonXorPopcount2x4,
     NeonPopcountWords,
     ScalarExtractBits,
-    ScalarExtractBitsFromCells,
     ScalarRouteBatch,
     ScalarBandKeys,
     DispatchLevel::kNeon,

@@ -39,13 +39,6 @@ void DigestMatrix::ExtractRow(const VosSketch& sketch, UserId user,
   ExtractRowFromArray(sketch.array(), sketch, user, dst);
 }
 
-void DigestMatrix::ExtractRowFromCells(const BitVector& array,
-                                       const uint32_t* cells, uint32_t k,
-                                       uint64_t* dst) {
-  kernels::Active().extract_bits_from_cells(array.words().data(), cells, k,
-                                            dst);
-}
-
 /// Shared thread-parallel fill over disjoint row ranges.
 DigestMatrix DigestMatrix::BuildImpl(const BitVector& array,
                                      const VosSketch& sketch,

@@ -275,6 +275,36 @@ void ShardedVosSketch::ApplySyncElement(const stream::Element& e) {
   }
 }
 
+void ShardedVosSketch::ApplySyncBatch(const stream::Element* elements,
+                                      size_t count) {
+  // Armed faults and poisoned shards take the per-element path, whose
+  // probe order and reject-per-element accounting define their contract.
+  if (degraded_.load(std::memory_order_relaxed) ||
+      FaultInjector::Global().armed()) {
+    for (size_t i = 0; i < count; ++i) ApplySyncElement(elements[i]);
+    return;
+  }
+  // Shards are independent and routing keeps each shard's element order,
+  // so applying shard by shard equals the element-order loop.
+  std::vector<std::vector<stream::Element>> per_shard(router_.num_shards());
+  RoutePartition(elements, count, &per_shard);
+  for (uint32_t s = 0; s < router_.num_shards(); ++s) {
+    if (per_shard[s].empty()) continue;
+    try {
+      shards_[s].UpdateBatch(per_shard[s].data(), per_shard[s].size());
+    } catch (const std::exception& ex) {
+      {
+        MutexLock lock(&mu_);
+        PoisonShardLocked(
+            s, Status::Internal(ShardTag(s) + " update failed: " + ex.what()));
+      }
+      // Partially applied: count the whole sub-batch, as a worker does.
+      dropped_elements_.fetch_add(per_shard[s].size(),
+                                  std::memory_order_relaxed);
+    }
+  }
+}
+
 void ShardedVosSketch::Update(const stream::Element& e, unsigned producer) {
   // Validate against the CONFIGURED lane count in both modes, so a
   // miswired lane id fails in the deterministic sync configuration tests
@@ -306,7 +336,7 @@ void ShardedVosSketch::UpdateBatch(const stream::Element* elements,
       accepted_[producer].load(std::memory_order_relaxed) + count,
       std::memory_order_relaxed);
   if (!async()) {
-    for (size_t i = 0; i < count; ++i) ApplySyncElement(elements[i]);
+    ApplySyncBatch(elements, count);
     return;
   }
   // Keep the lane's per-shard order: anything buffered by Update() on
@@ -711,12 +741,16 @@ void ShardedVosSketch::WorkerLoop(unsigned worker) {
     // propagating into std::terminate.
     try {
       VosSketch& sketch = shards_[shard];
-      for (const stream::Element& e : batch) {
-        if (injector.armed() &&
-            injector.Fire(FaultSite::kUpdateThrow, shard, producer)) {
-          throw std::runtime_error("injected update fault");
+      if (injector.armed() || degraded_.load(std::memory_order_relaxed)) {
+        for (const stream::Element& e : batch) {
+          if (injector.armed() &&
+              injector.Fire(FaultSite::kUpdateThrow, shard, producer)) {
+            throw std::runtime_error("injected update fault");
+          }
+          sketch.Update(e);
         }
-        sketch.Update(e);
+      } else {
+        sketch.UpdateBatch(batch.data(), batch.size());
       }
     } catch (const std::exception& ex) {
       {

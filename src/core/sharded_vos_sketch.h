@@ -212,9 +212,12 @@ class ShardedVosSketch {
   void Update(const stream::Element& e, unsigned producer = 0);
 
   /// Processes a contiguous batch on producer lane `producer`, preserving
-  /// the lane's per-shard element order. Asynchronous mode partitions the
-  /// batch into per-shard sub-batches in one routing pass and enqueues
-  /// them onto the lane's per-shard queues.
+  /// the lane's per-shard element order. Both modes partition the batch
+  /// into per-shard sub-batches in one routing pass; asynchronous mode
+  /// enqueues them onto the lane's per-shard queues, synchronous mode
+  /// applies each through VosSketch::UpdateBatch (or element by element
+  /// while faults are armed or the pipeline is degraded). Either way the
+  /// shards end up as if every element had gone through Update().
   void UpdateBatch(const stream::Element* elements, size_t count,
                    unsigned producer = 0);
 
@@ -422,6 +425,12 @@ class ShardedVosSketch {
   /// dense remap. Catches worker-model exceptions and poisons the shard,
   /// exactly like the async apply loop.
   void ApplySyncElement(const stream::Element& e) VOS_EXCLUDES(mu_);
+  /// Applies a batch inline (synchronous mode): routed once, then each
+  /// shard's sub-batch through VosSketch::UpdateBatch. Falls back to
+  /// ApplySyncElement per element while faults are armed or the pipeline
+  /// is degraded.
+  void ApplySyncBatch(const stream::Element* elements, size_t count)
+      VOS_EXCLUDES(mu_);
   /// Marks `shard` failed (first error wins, sticky) and flips the
   /// degraded flag. Does NOT touch rings (the consumer side discards a
   /// poisoned shard's backlog on pop, or the kill / reclaim paths drain

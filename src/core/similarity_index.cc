@@ -33,27 +33,20 @@ SimilarityIndex::SimilarityIndex(const VosSketch& sketch,
       query_options_(query_options),
       log_alpha_table_(estimator_.BuildLogAlphaTable()) {}
 
-void SimilarityIndex::SortRowsAndMaps() {
+bool SimilarityIndex::RowBefore(uint32_t a, uint32_t b) const {
+  return cardinalities_[a] != cardinalities_[b]
+             ? cardinalities_[a] < cardinalities_[b]
+             : a < b;
+}
+
+void SimilarityIndex::IndexSortedRows() {
   const size_t n = candidates_.size();
-  sorted_rows_.resize(n);
-  for (size_t i = 0; i < n; ++i) sorted_rows_[i] = static_cast<uint32_t>(i);
-  std::sort(sorted_rows_.begin(), sorted_rows_.end(),
-            [this](uint32_t a, uint32_t b) {
-              return cardinalities_[a] != cardinalities_[b]
-                         ? cardinalities_[a] < cardinalities_[b]
-                         : a < b;
-            });
-  row_of_orig_.assign(n, 0);
+  row_of_orig_.resize(n);
   cards_by_row_.resize(n);
   for (size_t p = 0; p < n; ++p) {
     const uint32_t i = sorted_rows_[p];
     row_of_orig_[i] = static_cast<uint32_t>(p);
     cards_by_row_[p] = cardinalities_[i];
-  }
-  row_of_.clear();
-  row_of_.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    row_of_.emplace(candidates_[i], row_of_orig_[i]);  // first occurrence
   }
 }
 
@@ -65,7 +58,17 @@ void SimilarityIndex::Rebuild(std::vector<UserId> candidates) {
   for (UserId u : candidates_) {
     cardinalities_.push_back(sketch_->Cardinality(u));
   }
-  SortRowsAndMaps();
+  sorted_rows_.resize(n);
+  for (size_t i = 0; i < n; ++i) sorted_rows_[i] = static_cast<uint32_t>(i);
+  std::sort(sorted_rows_.begin(), sorted_rows_.end(),
+            [this](uint32_t a, uint32_t b) { return RowBefore(a, b); });
+  IndexSortedRows();
+  candidate_of_.clear();
+  candidate_of_.reserve(n);
+  for (size_t i = 0; i < n; ++i) {
+    // emplace keeps the first occurrence of a repeated user.
+    candidate_of_.emplace(candidates_[i], static_cast<uint32_t>(i));
+  }
   const uint32_t k = sketch_->config().k;
   if (!query_options_.incremental) {
     std::vector<UserId> ordered_users(n);
@@ -74,7 +77,7 @@ void SimilarityIndex::Rebuild(std::vector<UserId> candidates) {
     }
     matrix_ = DigestMatrix::Build(*sketch_, ordered_users,
                                   query_options_.num_threads);
-    snapshot_words_.clear();
+    spare_.Clear();
     cells_.clear();
     cells_.shrink_to_fit();
     bucket_offsets_.clear();
@@ -88,10 +91,8 @@ void SimilarityIndex::Rebuild(std::vector<UserId> candidates) {
         << "incremental index needs a sketch with VosConfig::track_dirty";
     VOS_CHECK(m <= uint64_t{0xffffffff})
         << "incremental index stores cells as uint32; m too large";
-    VOS_CHECK(n < (size_t{1} << 26))
-        << "incremental index packs candidate ids into 26 bits";
     VOS_CHECK(n * static_cast<size_t>(k) <= uint64_t{0xffffffff})
-        << "incremental index offsets are uint32; candidates*k too large";
+        << "incremental index entries are uint32; candidates*k too large";
     cells_.resize(n * static_cast<size_t>(k));
     matrix_ = DigestMatrix(k, n);
     const size_t block = 64;
@@ -107,11 +108,11 @@ void SimilarityIndex::Rebuild(std::vector<UserId> candidates) {
             cells_.data() + static_cast<size_t>(i) * k);
       }
     });
-    // Counting-sorted inverse index, bucketed by cell *word* (so the
-    // refresh scan can jump from a changed word straight to its owners)
-    // with the exact bit-in-word packed into each entry (so only true
-    // owners of a *changed bit* are marked — expected n·k/m rows per
-    // flip, independent of word sharing).
+    // Counting-sorted inverse index, bucketed by cell *word*: a changed
+    // cell's owners are among the entries of its word's bucket, each
+    // entry the cells_ index i·k + j of one (candidate, virtual bit) — so
+    // the refresh matches cells_[entry] against the exact changed cell
+    // and knows which bit of which row to patch.
     const size_t num_words = (m + 63) / 64;
     bucket_offsets_.assign(num_words + 1, 0);
     for (uint32_t cell : cells_) ++bucket_offsets_[(cell >> 6) + 1];
@@ -121,16 +122,11 @@ void SimilarityIndex::Rebuild(std::vector<UserId> candidates) {
     bucket_entries_.resize(cells_.size());
     std::vector<uint32_t> cursor(bucket_offsets_.begin(),
                                  bucket_offsets_.end() - 1);
-    for (size_t i = 0; i < n; ++i) {
-      const uint32_t* row_cells = cells_.data() + i * static_cast<size_t>(k);
-      for (uint32_t j = 0; j < k; ++j) {
-        const uint32_t cell = row_cells[j];
-        bucket_entries_[cursor[cell >> 6]++] =
-            (static_cast<uint32_t>(i) << 6) | (cell & 63);
-      }
+    for (size_t e = 0; e < cells_.size(); ++e) {
+      bucket_entries_[cursor[cells_[e] >> 6]++] = static_cast<uint32_t>(e);
     }
-    snapshot_words_ = sketch_->array().words();
     sketch_->ClearDirtyUsers();
+    flip_log_generation_ = sketch_->flip_log_generation();
   }
   beta_ = sketch_->beta();
   log_beta_term_ = estimator_.LogBetaTerm(beta_);
@@ -157,90 +153,127 @@ void SimilarityIndex::AbsorbRecallFeedback() {
 bool SimilarityIndex::RefreshDirty() {
   VOS_CHECK(query_options_.incremental)
       << "RefreshDirty needs QueryOptions::incremental";
-  VOS_CHECK(snapshot_words_.size() == sketch_->array().words().size())
+  VOS_CHECK(CanRefresh())
       << "RefreshDirty before the first incremental Rebuild";
+  // The flip log describes every change since this snapshot only while
+  // it is complete and still the generation this index cleared; after an
+  // overflow, a bulk replacement (MergeFrom, load, Restore) or another
+  // consumer's clear, re-snapshot from scratch.
+  if (sketch_->flip_log_overflowed() ||
+      sketch_->flip_log_generation() != flip_log_generation_) {
+    Rebuild(std::move(candidates_));
+    return false;
+  }
   const size_t n = candidates_.size();
   const uint32_t k = sketch_->config().k;
 
   // Affected candidates = dirty users (covers cardinality changes — those
-  // never show in the array delta) ∪ owners of any cell whose bit changed
-  // (covers every possible digest change, including shared-cell flips
-  // from other users' updates). Each changed word's XOR mask is tested
-  // against the exact bit recorded in the bucket entry, and the snapshot
-  // word is re-synced in place — scanned-but-unchanged words cost one
-  // compare, changed words are never re-scanned on the next refresh.
+  // never flip a cell) ∪ owners of a changed cell (covers every digest
+  // change, including shared-cell flips from other users' updates). A
+  // cell flipped an even number of times is unchanged, so the sorted log
+  // is cancelled by parity first; every surviving cell's owners are the
+  // bucket entries of its word that record exactly that cell.
   std::vector<uint8_t> affected(n, 0);
   if (!sketch_->dirty_users().empty()) {
     for (size_t i = 0; i < n; ++i) {
       if (sketch_->IsDirty(candidates_[i])) affected[i] = 1;
     }
   }
-  const std::vector<uint64_t>& live_words = sketch_->array().words();
-  for (size_t w = 0; w < live_words.size(); ++w) {
-    const uint64_t mask = live_words[w] ^ snapshot_words_[w];
-    if (mask == 0) continue;
-    for (size_t idx = bucket_offsets_[w]; idx < bucket_offsets_[w + 1];
-         ++idx) {
-      const uint32_t entry = bucket_entries_[idx];
-      if ((mask >> (entry & 63)) & 1) affected[entry >> 6] = 1;
+  std::vector<uint32_t> flips = sketch_->flip_log();
+  std::sort(flips.begin(), flips.end());
+  std::vector<uint32_t> patches;  // cells_ indices i·k + j whose bit flips
+  for (size_t a = 0; a < flips.size();) {
+    const uint32_t cell = flips[a];
+    size_t b = a + 1;
+    while (b < flips.size() && flips[b] == cell) ++b;
+    if ((b - a) % 2 == 1) {
+      const uint32_t w = cell >> 6;
+      for (uint32_t idx = bucket_offsets_[w]; idx < bucket_offsets_[w + 1];
+           ++idx) {
+        const uint32_t entry = bucket_entries_[idx];
+        if (cells_[entry] == cell) {
+          affected[entry / k] = 1;
+          patches.push_back(entry);
+        }
+      }
     }
-    snapshot_words_[w] = live_words[w];
+    a = b;
   }
 
-  // Adaptive fallback: past the break-even fraction, re-extracting
-  // everything is cheaper than refresh bookkeeping. Deciding here costs
-  // only the delta scan above; Rebuild re-captures the snapshot anyway,
-  // so the in-place word re-sync is harmless.
-  size_t affected_count = 0;
-  for (const uint8_t a : affected) affected_count += a;
-  if (static_cast<double>(affected_count) >
+  // Adaptive fallback: past QueryOptions::refresh_fallback_fraction
+  // affected candidates, re-snapshot from scratch.
+  std::vector<uint32_t> moved;
+  for (size_t i = 0; i < n; ++i) {
+    if (affected[i]) moved.push_back(static_cast<uint32_t>(i));
+  }
+  if (static_cast<double>(moved.size()) >
       query_options_.refresh_fallback_fraction * static_cast<double>(n)) {
     Rebuild(std::move(candidates_));
     return false;
   }
 
-  for (size_t i = 0; i < n; ++i) {
-    if (affected[i]) cardinalities_[i] = sketch_->Cardinality(candidates_[i]);
+  // Re-sort: clean rows keep their cardinalities and hence their relative
+  // order, so only the affected rows are sorted and merged back in — the
+  // same total order a full sort yields.
+  for (const uint32_t i : moved) {
+    cardinalities_[i] = sketch_->Cardinality(candidates_[i]);
   }
-  const std::vector<uint32_t> old_row_of_orig = row_of_orig_;
-  SortRowsAndMaps();
+  const auto before = [this](uint32_t a, uint32_t b) {
+    return RowBefore(a, b);
+  };
+  if (!moved.empty()) {
+    std::sort(moved.begin(), moved.end(), before);
+    std::vector<uint32_t> kept;
+    kept.reserve(n - moved.size());
+    for (const uint32_t i : sorted_rows_) {
+      if (!affected[i]) kept.push_back(i);
+    }
+    std::merge(kept.begin(), kept.end(), moved.begin(), moved.end(),
+               sorted_rows_.begin(), before);
+  }
+  std::vector<uint32_t> old_row_of_orig;
+  old_row_of_orig.swap(row_of_orig_);
+  IndexSortedRows();
 
-  // New matrix in the new sorted order: clean rows are block-copied from
-  // their old position (bit-identical — none of their cells changed),
-  // affected rows re-read from captured cells (k lookups, no hashing).
-  DigestMatrix next(k, n);
-  const size_t words = next.words_per_row();
-  const BitVector& array = sketch_->array();
-  const size_t block = 64;
-  const size_t num_blocks = (n + block - 1) / block;
-  const unsigned threads =
-      ResolveThreadCount(query_options_.num_threads, num_blocks);
-  RunBlocks(threads, num_blocks, [&](size_t b) {
-    const size_t end = std::min(n, (b + 1) * block);
-    for (size_t p = b * block; p < end; ++p) {
-      const uint32_t i = sorted_rows_[p];
-      if (affected[i]) {
-        DigestMatrix::ExtractRowFromCells(
-            array, cells_.data() + static_cast<size_t>(i) * k, k,
-            next.MutableRow(p));
-      } else {
-        std::memcpy(next.MutableRow(p), matrix_.Row(old_row_of_orig[i]),
+  // Rows move into the new order in the spare matrix (one memcpy each),
+  // then every changed cell's bit is flipped in place: a row's bit j is
+  // A[cells_[i·k + j]], so XOR-ing the changed cells reproduces a fresh
+  // extraction exactly.
+  if (row_of_orig_ != old_row_of_orig) {
+    if (spare_.rows() != n || spare_.k() != k) spare_ = DigestMatrix(k, n);
+    const size_t words = matrix_.words_per_row();
+    const size_t block = 64;
+    const size_t num_blocks = (n + block - 1) / block;
+    const unsigned threads =
+        ResolveThreadCount(query_options_.num_threads, num_blocks);
+    RunBlocks(threads, num_blocks, [&](size_t b) {
+      const size_t end = std::min(n, (b + 1) * block);
+      for (size_t p = b * block; p < end; ++p) {
+        std::memcpy(spare_.MutableRow(p),
+                    matrix_.Row(old_row_of_orig[sorted_rows_[p]]),
                     words * sizeof(uint64_t));
       }
-    }
-  });
-  matrix_ = std::move(next);
+    });
+    std::swap(matrix_, spare_);
+  }
+  for (const uint32_t entry : patches) {
+    const uint32_t i = entry / k;
+    const uint32_t j = entry - i * k;
+    matrix_.MutableRow(row_of_orig_[i])[j >> 6] ^= uint64_t{1} << (j & 63);
+  }
+
   sketch_->ClearDirtyUsers();
+  flip_log_generation_ = sketch_->flip_log_generation();
   beta_ = sketch_->beta();
   log_beta_term_ = estimator_.LogBetaTerm(beta_);
   last_refresh_dirty_fraction_ =
       n == 0 ? 0.0
-             : static_cast<double>(affected_count) / static_cast<double>(n);
+             : static_cast<double>(moved.size()) / static_cast<double>(n);
   AbsorbRecallFeedback();
   if (query_options_.banding_bands > 0 && !banding_.empty()) {
     // Incremental banding upkeep: `affected` is indexed by candidate
     // index, which IS the table's stable id, so the patch re-keys exactly
-    // the re-extracted rows and re-translates the permuted clean ones —
+    // the patched rows and re-translates the permuted clean ones —
     // bit-identical to RebuildBanding() (asserted in tests), minus the
     // O(bands · n log n) re-sort.
     banding_.Patch(matrix_, sorted_rows_.data(), affected);
@@ -251,8 +284,8 @@ bool SimilarityIndex::RefreshDirty() {
 }
 
 size_t SimilarityIndex::RowOf(UserId user) const {
-  const auto it = row_of_.find(user);
-  return it == row_of_.end() ? kNpos : it->second;
+  const auto it = candidate_of_.find(user);
+  return it == candidate_of_.end() ? kNpos : row_of_orig_[it->second];
 }
 
 PairEstimate SimilarityIndex::EstimateFromDigests(const BitVector& a,

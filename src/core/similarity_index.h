@@ -47,8 +47,9 @@
 // number of threads (each call may itself spawn
 // QueryOptions::num_threads workers). Snapshot calls additionally read —
 // and, under QueryOptions::incremental, consume — the bound sketch's
-// dirty set, so they must not race with sketch Updates either; quiesce
-// the ingest pipeline (ShardedVosSketch::Flush) before snapshotting.
+// dirty set and flip log, so they must not race with sketch Updates
+// either; quiesce the ingest pipeline (ShardedVosSketch::Flush) before
+// snapshotting.
 
 #pragma once
 
@@ -142,17 +143,20 @@ struct QueryOptions {
   /// feasible range (the default); results are identical either way.
   bool prefilter = true;
   /// Retain incremental-maintenance state at Rebuild so RefreshDirty()
-  /// can run: a copy of the sketch array (m bits), every candidate row's
-  /// k cell indices, and a cell-word → candidate inverse index (≈ 8 bytes
-  /// per candidate-bit — e.g. 2,000 candidates × k=6400 ≈ 100 MiB).
+  /// can run: every candidate row's k cell indices and a cell-word →
+  /// (candidate, bit) inverse index (≈ 8 bytes per candidate-bit — e.g.
+  /// 2,000 candidates × k=6400 ≈ 100 MiB, plus m/16 bytes of bucket
+  /// offsets), and a spare digest matrix the refresh reorders into.
   /// Costs one extra pass at Rebuild; leave off for rebuild-only indexes.
   bool incremental = false;
   /// Adaptive refresh: RefreshDirty() falls back to a full Rebuild() when
-  /// more than this fraction of the candidates is affected — past the
-  /// measured break-even (~50% dirty, bench/micro_ingest_path.cc) the
-  /// refresh bookkeeping costs more than re-extracting everything.
-  /// Results are bit-identical either way; only the time differs. Set
-  /// > 1 to force the incremental path always, ≤ 0 to always rebuild.
+  /// more than this fraction of the candidates is affected. Patching stays
+  /// cheaper than re-extracting at every measured fraction up to 50%
+  /// (bench/micro_ingest_path.cc), so the default keeps the rebuild for
+  /// snapshots where most rows changed anyway. Results are bit-identical
+  /// either way; only the time differs. Set > 1 to take the incremental
+  /// path whenever the sketch's flip log is valid (see RefreshDirty), ≤ 0
+  /// to always rebuild.
   double refresh_fallback_fraction = 0.5;
 };
 
@@ -178,37 +182,43 @@ class SimilarityIndex {
   /// the sketch's dirty set.
   void Rebuild(std::vector<UserId> candidates);
 
-  /// Incrementally re-snapshots the SAME candidate set, re-extracting
-  /// only rows that may have changed since the last Rebuild()/
-  /// RefreshDirty(): rows of users in the sketch's dirty set (covers
-  /// every cardinality change) plus rows owning an array cell whose bit
-  /// changed (covers every digest change, including shared-cell
-  /// contamination flips caused by OTHER users' updates). Refreshed rows are
-  /// re-read from their captured cells (k array lookups, no hashing),
-  /// clean rows are block-copied into the new cardinality-sorted order,
-  /// and β is recaptured — the result is asserted bit-identical to a full
+  /// Incrementally re-snapshots the SAME candidate set by patching only
+  /// what changed since the last Rebuild()/RefreshDirty(), read from the
+  /// sketch's flip log and dirty set (VosSketch's dirty-tracking
+  /// contract): every cell flipped an odd number of times flips bit j of
+  /// each candidate row i with cells_[i·k + j] == cell (covers every
+  /// digest change, including shared-cell contamination flips caused by
+  /// OTHER users' updates), and users in the dirty set get their
+  /// cardinality re-read (covers every cardinality change). Rows move
+  /// into the new cardinality-sorted order by one block copy each, and β
+  /// is recaptured — the result is asserted bit-identical to a full
   /// Rebuild(candidates) in tests for every dirty fraction and thread
   /// count. The log-alpha table depends only on k and is never rebuilt
   /// (k is fixed for the sketch's lifetime). Requires
   /// QueryOptions::incremental and a prior Rebuild(); consumes the
-  /// sketch's dirty set (at most one incremental consumer per sketch —
-  /// see VosSketch's dirty-tracking contract).
+  /// sketch's dirty set and flip log.
   ///
-  /// Cost: O(m/64) for the word delta + O(k) per affected row + one
-  /// row-copy pass, vs. Rebuild's O(k) hashes per candidate — ≥5× faster
-  /// when ≤10% of candidates are affected (bench/micro_ingest_path.cc).
+  /// Cost: O(L log L) for L logged flips + O(n·k/m) bucket probes per
+  /// changed cell + one row-copy pass (skipped when the order is
+  /// unchanged), vs. Rebuild's O(k) hashes per candidate. Nothing scales
+  /// with m or re-reads whole rows.
   ///
-  /// Adaptive fallback: when the affected fraction exceeds
-  /// QueryOptions::refresh_fallback_fraction the call delegates to a full
-  /// Rebuild() of the same candidates (bit-identical result, cheaper past
-  /// the break-even). Returns true when the incremental path ran, false
-  /// when it fell back.
+  /// Fallbacks to a full Rebuild() of the same candidates (bit-identical
+  /// result) happen when the log cannot describe the change — it
+  /// overflowed its max(1024, m/64) cap, or its generation is not the one
+  /// this index recorded at its last snapshot (the sketch was merged into,
+  /// loaded or restored, or another consumer cleared it) — and when the
+  /// affected fraction exceeds QueryOptions::refresh_fallback_fraction.
+  /// Several incremental consumers of one sketch therefore stay correct
+  /// but rebuild each other's snapshots: each one's clear invalidates the
+  /// others' generation. Returns true when the incremental path ran,
+  /// false when it fell back.
   bool RefreshDirty();
 
   /// True once Rebuild() has captured incremental state (i.e.
   /// RefreshDirty() may be called).
   bool CanRefresh() const {
-    return query_options_.incremental && !snapshot_words_.empty();
+    return query_options_.incremental && !bucket_offsets_.empty();
   }
 
   /// The `k` candidates most similar to `query` (by Ĵ, descending;
@@ -317,10 +327,13 @@ class SimilarityIndex {
   }
 
  private:
-  /// Recomputes the cardinality-sorted order and every row map from
-  /// candidates_/cardinalities_ (shared by Rebuild and RefreshDirty, so
-  /// both produce the identical deterministic order).
-  void SortRowsAndMaps();
+  /// The matrix-row order: cardinality ascending, ties by candidate
+  /// index (shared by Rebuild's sort and RefreshDirty's merge, so both
+  /// produce the identical deterministic order).
+  bool RowBefore(uint32_t a, uint32_t b) const;
+
+  /// Recomputes row_of_orig_ and cards_by_row_ from sorted_rows_.
+  void IndexSortedRows();
 
   /// (Re)builds banding_ from the current matrix_ when banding is on;
   /// clears it otherwise. Called at the end of Rebuild and RefreshDirty.
@@ -369,8 +382,9 @@ class SimilarityIndex {
   std::vector<uint32_t> sorted_rows_;
   /// row_of_orig_[i] = matrix row of candidate index i.
   std::vector<uint32_t> row_of_orig_;
-  /// user → matrix row (first occurrence among candidates).
-  std::unordered_map<UserId, size_t> row_of_;
+  /// user → candidate index (first occurrence); built only at Rebuild,
+  /// since candidate indices are stable across refreshes.
+  std::unordered_map<UserId, uint32_t> candidate_of_;
   /// log_alpha_table_[d] = VosEstimator::LogAlphaTerm(d / k) for every
   /// Hamming distance d in [0, k]; built once in the constructor (it
   /// depends only on k, so neither Rebuild nor RefreshDirty touches it).
@@ -395,20 +409,21 @@ class SimilarityIndex {
       optimizer::PlanKind::kExact};
 
   // --- Incremental-maintenance state (QueryOptions::incremental) -------
-  /// The sketch array words as of the last snapshot; XOR against the live
-  /// words localizes every changed cell. RefreshDirty re-syncs only the
-  /// words it finds changed, so no full copy is ever repeated.
-  std::vector<uint64_t> snapshot_words_;
+  /// The sketch's flip-log generation right after this index's last
+  /// clear; RefreshDirty patches from the log only while it still matches.
+  uint64_t flip_log_generation_ = 0;
+  /// Reused target of RefreshDirty's reorder copy (swapped with matrix_).
+  DigestMatrix spare_;
   /// cells_[i·k + j] = f_j(candidates_[i]) — captured once at Rebuild
   /// (cells depend only on the user, never on the array, so refreshes
   /// re-read rows without hashing).
   std::vector<uint32_t> cells_;
-  /// Counting-sorted inverse index over cell words: the candidates owning
-  /// a cell in array word w are bucket_entries_[bucket_offsets_[w] ..
-  /// bucket_offsets_[w+1]), each entry packed as
-  /// (candidate_index << 6) | (cell & 63) so detection tests the exact
-  /// changed bit — a flip affects only true cell owners (expected
-  /// n·k/m candidates), not every row sharing the 64-bit word.
+  /// Counting-sorted inverse index over cell words: the (candidate, bit)
+  /// pairs owning a cell in array word w are bucket_entries_[
+  /// bucket_offsets_[w] .. bucket_offsets_[w+1]), each entry the cells_
+  /// index i·k + j; cells_[entry] == cell picks the exact owners of a
+  /// changed cell (expected n·k/m per cell), not every row sharing the
+  /// 64-bit word.
   std::vector<uint32_t> bucket_offsets_;
   std::vector<uint32_t> bucket_entries_;
 };

@@ -226,6 +226,7 @@ StatusOr<VosSketch> VosSketchIo::ParseFields(const uint8_t* data,
   VosSketch sketch(config, static_cast<stream::UserId>(num_users));
   sketch.array_ = BitVector::FromWords(config.m, std::move(words));
   sketch.cardinality_ = std::move(cards);
+  sketch.InvalidateFlipLog();
   if (consumed != nullptr) *consumed = pos;
   return sketch;
 }

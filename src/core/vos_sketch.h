@@ -70,8 +70,9 @@ struct VosConfig {
   /// (common items still cancel) while the shards' cell maps stay
   /// independent.
   uint64_t f_seed = 0;
-  /// Maintain the per-user dirty set (see dirty_users()). Costs one extra
-  /// epoch load+compare per Update; turn off for sketches that will never
+  /// Maintain the per-user dirty set and the flip log (see the
+  /// dirty-tracking contract on VosSketch). Costs one epoch load+compare
+  /// and one log append per Update; turn off for sketches that will never
   /// be consumed incrementally (the harness does, so the Figure-2 update
   /// measurement stays at the paper's bare O(1) cost).
   bool track_dirty = true;
@@ -86,17 +87,17 @@ class VosSketch {
   /// Processes one stream element in O(1): flips A[f_ψ(i)(u)] and adjusts
   /// n_u by ±1. Under VosConfig::track_dirty it also marks the user dirty
   /// (see dirty_users()) in O(1) amortized — one epoch compare, plus a
-  /// push the first time a user is touched after a snapshot.
-  void Update(const Element& e) {
-    array_.Flip(CellOf(e.user, BucketOf(e.item)));
-    if (e.action == Action::kInsert) {
-      ++cardinality_[e.user];
-    } else {
-      VOS_DCHECK(cardinality_[e.user] > 0) << "deletion below zero" << e;
-      --cardinality_[e.user];
-    }
-    MarkDirty(e.user);
-  }
+  /// push the first time a user is touched after a snapshot — and appends
+  /// the flipped cell to the flip log.
+  void Update(const Element& e) { Apply(e, CellOf(e.user, BucketOf(e.item))); }
+
+  /// Applies elements[0 .. count) with exactly the effect of calling
+  /// Update on each in order (array, β, cardinalities, dirty set and flip
+  /// log). Elements are hashed in groups of 16 whose array words,
+  /// counters and dirty epochs are prefetched before the group is
+  /// applied, so the cache misses of one group overlap instead of
+  /// serializing — the ingest path's bound past L2.
+  void UpdateBatch(const Element* elements, size_t count);
 
   /// ψ(item) ∈ [0, k) — which virtual bit of its user an item toggles.
   uint32_t BucketOf(ItemId item) const {
@@ -192,24 +193,45 @@ class VosSketch {
 
   // --- Dirty tracking (incremental index maintenance) -------------------
   //
-  // The sketch records which users received updates since the last
-  // ClearDirtyUsers(), so a snapshot consumer (SimilarityIndex) can
-  // refresh only the rows that may have changed instead of re-extracting
-  // every candidate. Maintenance is O(1) amortized per Update: an epoch
-  // compare, plus one push_back the first time a user is touched in the
-  // current epoch.
+  // Under VosConfig::track_dirty the sketch records what changed since the
+  // last ClearDirtyUsers(), so a snapshot consumer (SimilarityIndex) can
+  // patch only what changed instead of re-extracting every candidate:
   //
-  // Contract: the dirty set covers *which users were updated* — because
-  // array cells are shared, an update for user v can still flip a bit of
-  // a clean user u's reconstructed digest. Incremental consumers must
-  // therefore pair the dirty set with an array-delta check (see
-  // SimilarityIndex::RefreshDirty); the dirty set alone is exact for
-  // cardinality changes, which never appear in the array delta.
+  //  * the dirty set — users touched by Update (exact for cardinality
+  //    changes, which never show in the array), deduplicated;
+  //  * the flip log — every cell Update flipped, in order, duplicates
+  //    kept (a cell flipped twice is unchanged; consumers cancel by
+  //    parity). Because cells are shared, a flip for user v can change a
+  //    clean user u's reconstructed digest; the log names the cell, and
+  //    the consumer's inverse index names its owners.
+  //
+  // The log holds at most flip_log_capacity() = max(1024, m/64) cells (a
+  // fixed cap, not a knob); past it the log is overflowed and a consumer
+  // must fall back to a full re-snapshot. Each log carries a generation
+  // id unique across the process: a fresh one is taken at construction,
+  // at every ClearDirtyUsers(), and at every bulk replacement of the
+  // array (MergeFrom, VosSketchIo load — hence ShardedVosSketch::
+  // Restore). A consumer records the generation right after it clears
+  // and trusts the log only while the generation is unchanged, so a
+  // replaced sketch or a second consumer's clear can never be mistaken
+  // for "nothing changed". Copies carry the log and its generation, so a
+  // saved copy assigned back describes its own changes since that clear.
+  // Sketches built with track_dirty = false keep neither structure and
+  // pay nothing on Update. Like the dirty list, the log is consumer
+  // bookkeeping outside MemoryBits()/PerUserStateBits(): at most 32 bits
+  // per capacity cell, reserved up front but only touched as flips
+  // arrive.
+  //
+  // Maintenance is O(1) amortized per Update: an epoch compare, one push
+  // the first time a user is touched in the current epoch, and one log
+  // append (a compare once overflowed).
   //
   // Thread-safety: Update/MarkDirty follow the sketch's single-writer
   // model. ClearDirtyUsers is logically const (snapshot-consumer
-  // bookkeeping over mutable members) and must not race with Update;
-  // with multiple consumers of one sketch, only one may clear.
+  // bookkeeping over mutable members) and must not race with Update.
+  // Several incremental consumers of one sketch stay correct — each one's
+  // clear invalidates the others' generation, so they re-snapshot fully
+  // instead of patching.
 
   /// True iff this sketch maintains the dirty set
   /// (VosConfig::track_dirty).
@@ -217,11 +239,9 @@ class VosSketch {
 
   /// Users touched by Update() since the last ClearDirtyUsers(),
   /// deduplicated, in first-touch order; MergeFrom additionally marks
-  /// users whose merged cardinality changed (a merge CAN flip a user's
-  /// array bits without a net cardinality change — such users are not
-  /// listed here, by design: digest-level changes are only detectable
-  /// via an array delta, which is exactly how RefreshDirty pairs with
-  /// this set). Always empty when tracking is off.
+  /// users whose merged cardinality changed (digest-level changes are
+  /// the flip log's job, and a merge invalidates the log). Always empty
+  /// when tracking is off.
   const std::vector<UserId>& dirty_users() const { return dirty_users_; }
 
   /// True iff `user` is in dirty_users().
@@ -229,12 +249,57 @@ class VosSketch {
     return tracks_dirty() && dirty_epoch_[user] == dirty_current_epoch_;
   }
 
-  /// Empties the dirty set (O(1): bumps the epoch). Called by snapshot
-  /// consumers once they have captured the set.
+  /// Empties the dirty set (O(1): bumps the epoch) and the flip log, and
+  /// starts a new log generation. Called by snapshot consumers once they
+  /// have captured the set.
   void ClearDirtyUsers() const;
+
+  /// Cells flipped since the last ClearDirtyUsers(), in Update order
+  /// (duplicates kept). Complete only while !flip_log_overflowed(); empty
+  /// when tracking is off.
+  const std::vector<uint32_t>& flip_log() const { return flip_log_; }
+
+  /// True once more flips happened than flip_log_capacity() (the log then
+  /// no longer describes every change), or whenever tracking is off.
+  bool flip_log_overflowed() const { return flip_log_overflowed_; }
+
+  /// max(1024, m/64) cells when tracking (0 when m exceeds the uint32
+  /// cell range, so every flip overflows); 0 when tracking is off.
+  size_t flip_log_capacity() const { return flip_log_capacity_; }
+
+  /// Process-unique id of the current log (see the contract above).
+  uint64_t flip_log_generation() const { return flip_log_generation_; }
 
  private:
   friend class VosSketchIo;  // serialization needs raw state access
+
+  /// The state change of one element whose cell is already hashed.
+  void Apply(const Element& e, uint64_t cell) {
+    array_.Flip(cell);
+    if (e.action == Action::kInsert) {
+      ++cardinality_[e.user];
+    } else {
+      VOS_DCHECK(cardinality_[e.user] > 0) << "deletion below zero" << e;
+      --cardinality_[e.user];
+    }
+    if (tracks_dirty()) {
+      MarkDirty(e.user);
+      LogFlip(cell);
+    }
+  }
+
+  void LogFlip(uint64_t cell) {
+    if (flip_log_.size() < flip_log_capacity_) {
+      flip_log_.push_back(static_cast<uint32_t>(cell));
+    } else {
+      flip_log_overflowed_ = true;
+    }
+  }
+
+  /// Empties the log under a fresh generation, so no consumer's recorded
+  /// generation matches it (at a clear, and when the array is replaced
+  /// wholesale).
+  void InvalidateFlipLog() const;
 
   void MarkDirty(UserId user) const {
     if (dirty_epoch_.empty()) return;  // tracking off
@@ -264,6 +329,13 @@ class VosSketch {
   mutable std::vector<uint32_t> dirty_epoch_;
   mutable std::vector<UserId> dirty_users_;
   mutable uint32_t dirty_current_epoch_ = 1;
+  // Flip-log state (see the contract above). Capacity is reserved at
+  // construction (a copy regrows on demand); untouched pages cost no
+  // memory.
+  mutable std::vector<uint32_t> flip_log_;
+  mutable bool flip_log_overflowed_ = false;
+  mutable uint64_t flip_log_generation_ = 0;
+  size_t flip_log_capacity_ = 0;
 };
 
 }  // namespace vos::core

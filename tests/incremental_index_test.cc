@@ -2,16 +2,24 @@
 // must be bit-identical to a full Rebuild on the same sketch state — for
 // every dirty fraction (including the shared-cell contamination case,
 // where updates to NON-candidate users flip bits of clean candidates'
-// digests), every thread count, and across repeated refreshes.
+// digests), every thread count, and across repeated refreshes — and
+// must fall back to a Rebuild whenever the sketch's flip log cannot
+// describe the change (overflow, MergeFrom, another consumer's clear).
+// VosSketch::UpdateBatch must leave the same sketch and bookkeeping as
+// the Update loop.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "common/random.h"
 #include "core/similarity_index.h"
 #include "core/vos_drift.h"
+#include "core/vos_io.h"
 #include "core/vos_sketch.h"
 
 namespace vos::core {
@@ -261,6 +269,232 @@ TEST(RefreshDirtyTest, RequiresIncrementalOptionAndPriorRebuild) {
   SimilarityIndex plain(sketch, {}, QueryOptions{});
   plain.Rebuild({0, 1, 2});
   EXPECT_FALSE(plain.CanRefresh());  // incremental off
+}
+
+// ------------------------------------------------------------- flip log
+
+/// Bit-level equality of two sketches, including the bookkeeping an
+/// incremental consumer reads (dirty set order, flip log).
+void ExpectSketchesIdentical(const VosSketch& a, const VosSketch& b,
+                             const std::string& context) {
+  EXPECT_EQ(a.array().words(), b.array().words()) << context;
+  EXPECT_EQ(a.array().ones(), b.array().ones()) << context;
+  EXPECT_EQ(a.beta(), b.beta()) << context;
+  for (UserId u = 0; u < a.num_users(); ++u) {
+    ASSERT_EQ(a.Cardinality(u), b.Cardinality(u)) << context << " user " << u;
+  }
+  EXPECT_EQ(a.dirty_users(), b.dirty_users()) << context;
+  EXPECT_EQ(a.flip_log(), b.flip_log()) << context;
+  EXPECT_EQ(a.flip_log_overflowed(), b.flip_log_overflowed()) << context;
+}
+
+/// A feasible random stream: ~25% of elements delete an item the same
+/// user inserted earlier.
+std::vector<Element> FeasibleStream(UserId users, size_t count,
+                                    uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::vector<ItemId>> held(users);
+  std::vector<Element> elements;
+  for (size_t t = 0; t < count; ++t) {
+    const UserId u = static_cast<UserId>(rng.NextBounded(users));
+    if (!held[u].empty() && rng.NextBernoulli(0.25)) {
+      elements.push_back({u, held[u].back(), Action::kDelete});
+      held[u].pop_back();
+    } else {
+      const ItemId item = static_cast<ItemId>(rng.NextBounded(1 << 28));
+      elements.push_back({u, item, Action::kInsert});
+      held[u].push_back(item);
+    }
+  }
+  return elements;
+}
+
+TEST(FlipLogTest, UpdateBatchMatchesUpdateLoop) {
+  for (const bool track : {true, false}) {
+    // 3000 elements overflow the 1024-cell log of a 4096-bit array.
+    for (const size_t count : {0, 1, 15, 16, 17, 700, 3000}) {
+      const std::string context = "track=" + std::to_string(track) +
+                                  " count=" + std::to_string(count);
+      VosConfig config = SmallConfig();
+      config.track_dirty = track;
+      const std::vector<Element> elements = FeasibleStream(50, count, count);
+      VosSketch looped(config, 50);
+      for (const Element& e : elements) looped.Update(e);
+      VosSketch batched(config, 50);
+      const size_t half = count / 2;  // two calls: the log continues
+      batched.UpdateBatch(elements.data(), half);
+      batched.UpdateBatch(elements.data() + half, count - half);
+      ExpectSketchesIdentical(batched, looped, context);
+      if (track) {
+        EXPECT_EQ(looped.flip_log_capacity(), 1024u) << context;
+        EXPECT_EQ(looped.flip_log().size(), std::min<size_t>(count, 1024))
+            << context;
+        EXPECT_EQ(looped.flip_log_overflowed(), count > 1024) << context;
+      } else {
+        EXPECT_EQ(looped.flip_log_capacity(), 0u) << context;
+        EXPECT_TRUE(looped.flip_log().empty()) << context;
+        EXPECT_TRUE(looped.flip_log_overflowed()) << context;
+        EXPECT_TRUE(looped.dirty_users().empty()) << context;
+      }
+    }
+  }
+}
+
+TEST(FlipLogTest, LogsCellsAndRenewsGenerationOnClearMergeAndLoad) {
+  const VosConfig config = SmallConfig(1 << 20);
+  VosSketch sketch(config, 10);
+  EXPECT_EQ(sketch.flip_log_capacity(), (size_t{1} << 20) / 64);
+  const uint64_t born = sketch.flip_log_generation();
+  sketch.Update({3, 100, Action::kInsert});
+  sketch.Update({3, 100, Action::kDelete});
+  const uint32_t cell =
+      static_cast<uint32_t>(sketch.CellOf(3, sketch.BucketOf(100)));
+  EXPECT_EQ(sketch.flip_log(), (std::vector<uint32_t>{cell, cell}));
+  EXPECT_EQ(sketch.flip_log_generation(), born) << "updates keep the log";
+
+  sketch.ClearDirtyUsers();
+  EXPECT_TRUE(sketch.flip_log().empty());
+  EXPECT_FALSE(sketch.flip_log_overflowed());
+  const uint64_t cleared = sketch.flip_log_generation();
+  EXPECT_NE(cleared, born);
+
+  VosSketch other(config, 10);
+  EXPECT_NE(other.flip_log_generation(), cleared) << "unique per process";
+  other.Update({4, 200, Action::kInsert});
+  sketch.MergeFrom(other);
+  EXPECT_NE(sketch.flip_log_generation(), cleared);
+  EXPECT_TRUE(sketch.flip_log().empty());
+
+  const std::string path = ::testing::TempDir() + "/flip_log_generation";
+  ASSERT_TRUE(VosSketchIo::Save(sketch, path).ok());
+  StatusOr<VosSketch> loaded = VosSketchIo::Load(path);
+  ASSERT_TRUE(loaded.ok());
+  EXPECT_NE(loaded->flip_log_generation(), sketch.flip_log_generation());
+  EXPECT_TRUE(loaded->flip_log().empty());
+  std::remove(path.c_str());
+}
+
+/// An overflowed log cannot describe the change: the refresh must rebuild
+/// (even with the fallback fraction disabled), bit-identically, and the
+/// next refresh patches again.
+TEST(RefreshDirtyTest, LogOverflowFallsBackToRebuild) {
+  VosSketch sketch = PopulatedSketch(SmallConfig(), 120, 60, 51);
+  std::vector<UserId> candidates;
+  for (UserId u = 0; u < 80; ++u) candidates.push_back(u);
+  QueryOptions options;
+  options.num_threads = 1;
+  options.incremental = true;
+  options.refresh_fallback_fraction = 2.0;
+  SimilarityIndex refreshed(sketch, {}, options);
+  refreshed.Rebuild(candidates);
+  SimilarityIndex rebuilt(sketch, {}, QueryOptions{});
+
+  ItemId next_item = 1 << 29;
+  for (size_t i = 0; i <= sketch.flip_log_capacity(); ++i) {
+    sketch.Update({119, next_item++, Action::kInsert});  // non-candidate
+  }
+  ASSERT_TRUE(sketch.flip_log_overflowed());
+  EXPECT_FALSE(refreshed.RefreshDirty());
+  rebuilt.Rebuild(candidates);
+  ExpectIndexesIdentical(refreshed, rebuilt, "overflowed log");
+
+  sketch.Update({4, next_item++, Action::kInsert});
+  EXPECT_TRUE(refreshed.RefreshDirty());
+  rebuilt.Rebuild(candidates);
+  ExpectIndexesIdentical(refreshed, rebuilt, "refresh after overflow");
+}
+
+TEST(RefreshDirtyTest, MergeFromFallsBackToRebuild) {
+  const VosConfig config = SmallConfig();
+  VosSketch sketch = PopulatedSketch(config, 60, 40, 53);
+  std::vector<UserId> candidates;
+  for (UserId u = 0; u < 60; ++u) candidates.push_back(u);
+  QueryOptions options;
+  options.num_threads = 1;
+  options.incremental = true;
+  options.refresh_fallback_fraction = 2.0;
+  SimilarityIndex refreshed(sketch, {}, options);
+  refreshed.Rebuild(candidates);
+
+  VosSketch other(config, 60);
+  other.Update({7, 1 << 29, Action::kInsert});
+  other.Update({8, (1 << 29) + 1, Action::kInsert});
+  sketch.MergeFrom(other);
+  EXPECT_FALSE(refreshed.RefreshDirty());
+  SimilarityIndex rebuilt(sketch, {}, QueryOptions{});
+  rebuilt.Rebuild(candidates);
+  ExpectIndexesIdentical(refreshed, rebuilt, "after MergeFrom");
+}
+
+/// A cell flipped twice is unchanged: nothing is patched and no row is
+/// affected, while a same-ψ item pair on a candidate changes only its
+/// cardinality (affected, re-sorted, but no bit patched).
+TEST(RefreshDirtyTest, SameCellDoubleFlipsPatchNothing) {
+  VosSketch sketch = PopulatedSketch(SmallConfig(), 60, 40, 57);
+  std::vector<UserId> candidates;
+  for (UserId u = 0; u < 40; ++u) candidates.push_back(u);
+  QueryOptions options;
+  options.num_threads = 1;
+  options.incremental = true;
+  SimilarityIndex refreshed(sketch, {}, options);
+  refreshed.Rebuild(candidates);
+  const DigestMatrix before = refreshed.matrix();
+
+  const ItemId item = 1 << 29;
+  sketch.Update({59, item, Action::kInsert});  // non-candidate
+  sketch.Update({59, item, Action::kDelete});
+  ASSERT_EQ(sketch.flip_log().size(), 2u);
+  EXPECT_TRUE(refreshed.RefreshDirty());
+  EXPECT_EQ(refreshed.last_refresh_dirty_fraction(), 0.0);
+  for (size_t p = 0; p < before.rows(); ++p) {
+    ASSERT_EQ(std::memcmp(before.Row(p), refreshed.matrix().Row(p),
+                          before.words_per_row() * sizeof(uint64_t)),
+              0)
+        << "row " << p;
+  }
+
+  ItemId twin = item + 1;
+  while (sketch.BucketOf(twin) != sketch.BucketOf(item)) ++twin;
+  sketch.Update({6, item, Action::kInsert});
+  sketch.Update({6, twin, Action::kInsert});
+  EXPECT_TRUE(refreshed.RefreshDirty());
+  EXPECT_EQ(refreshed.last_refresh_dirty_fraction(), 1.0 / 40);
+  SimilarityIndex rebuilt(sketch, {}, QueryOptions{});
+  rebuilt.Rebuild(candidates);
+  ExpectIndexesIdentical(refreshed, rebuilt, "same-psi pair");
+  EXPECT_EQ(refreshed.row_cardinalities(), rebuilt.row_cardinalities());
+}
+
+/// Two incremental consumers of one sketch: the first one's refresh
+/// clears the dirty set, so the second must not trust an empty set — a
+/// cardinality-only change (same-ψ item pair) would otherwise be missed.
+TEST(RefreshDirtyTest, SecondConsumerSeesCardinalityOnlyChange) {
+  VosSketch sketch = PopulatedSketch(SmallConfig(1 << 14), 30, 20, 59);
+  std::vector<UserId> candidates;
+  for (UserId u = 0; u < 30; ++u) candidates.push_back(u);
+  QueryOptions options;
+  options.num_threads = 1;
+  options.incremental = true;
+  SimilarityIndex first(sketch, {}, options);
+  SimilarityIndex second(sketch, {}, options);
+  first.Rebuild(candidates);
+  second.Rebuild(candidates);
+
+  const ItemId item = 1 << 29;
+  ItemId twin = item + 1;
+  while (sketch.BucketOf(twin) != sketch.BucketOf(item)) ++twin;
+  sketch.Update({11, item, Action::kInsert});
+  sketch.Update({11, twin, Action::kInsert});
+  first.RefreshDirty();
+  EXPECT_FALSE(second.RefreshDirty())
+      << "another consumer's clear invalidates this index's log";
+
+  SimilarityIndex rebuilt(sketch, {}, QueryOptions{});
+  rebuilt.Rebuild(candidates);
+  ExpectIndexesIdentical(second, rebuilt, "second consumer");
+  EXPECT_EQ(second.row_cardinalities(), rebuilt.row_cardinalities());
+  ExpectIndexesIdentical(first, rebuilt, "first consumer");
+  EXPECT_EQ(first.row_cardinalities(), rebuilt.row_cardinalities());
 }
 
 // ------------------------------------------------------ VosDrift batching

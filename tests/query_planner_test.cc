@@ -10,6 +10,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <utility>
 #include <vector>
 
 #include "common/random.h"
@@ -285,6 +287,61 @@ TEST(QueryPlannerTest, IncrementalRefreshMatchesFreshRebuild) {
   rebuilt.Rebuild(candidates);
   ExpectPairsIdentical(refreshed.AllPairsAbove(0.25),
                        rebuilt.AllPairsAbove(0.25), "full churn");
+}
+
+/// Two items on the same virtual bit of one user: inserting both flips
+/// the same cell twice (no array change) while n_u grows by two — a
+/// cardinality-only change that only the dirty set can reveal.
+std::pair<ItemId, ItemId> SamePsiItems(const VosSketch& sketch, ItemId from) {
+  for (ItemId b = from + 1;; ++b) {
+    if (sketch.BucketOf(b) == sketch.BucketOf(from)) return {from, b};
+  }
+}
+
+/// Restore() swaps in freshly loaded shards whose dirty sets are empty;
+/// a Refresh() after it must still land on the restored state — here a
+/// candidate whose only change since the snapshot is its cardinality.
+TEST(QueryPlannerTest, RefreshAfterRestoreMatchesFreshRebuild) {
+  const UserId users = 56;
+  std::vector<Element> elements = CommunityStream(users, 40, 23);
+  ShardedVosSketch sketch(PlannerConfig(4, 512, 1 << 14), users);
+  sketch.UpdateBatch(elements.data(), elements.size());
+  const std::string path =
+      ::testing::TempDir() + "/query_planner_refresh_after_restore";
+  ASSERT_TRUE(sketch.Checkpoint(path).ok());
+  std::vector<UserId> candidates;
+  for (UserId u = 0; u < users; ++u) candidates.push_back(u);
+
+  // Past the checkpoint: user 5 gains two same-ψ items, user 9 one item.
+  const UserId quiet = 5;
+  const uint32_t shard = sketch.ShardOf(quiet);
+  const auto [a, b] = SamePsiItems(sketch.shard(shard), 1 << 29);
+  sketch.Update({quiet, a, Action::kInsert});
+  sketch.Update({quiet, b, Action::kInsert});
+  sketch.Update({9, (1 << 29) - 1, Action::kInsert});
+
+  QueryOptions incremental;
+  incremental.num_threads = 1;
+  incremental.incremental = true;
+  incremental.refresh_fallback_fraction = 2.0;
+  QueryPlanner refreshed(sketch, {}, incremental);
+  refreshed.Rebuild(candidates);
+  ASSERT_TRUE(sketch.Restore(path).ok());
+  EXPECT_FALSE(refreshed.Refresh())
+      << "a restored sketch's log cannot describe the change";
+
+  QueryPlanner rebuilt(sketch, {}, QueryOptions{});
+  rebuilt.Rebuild(candidates);
+  for (uint32_t s = 0; s < sketch.num_shards(); ++s) {
+    EXPECT_EQ(refreshed.shard_index(s).row_cardinalities(),
+              rebuilt.shard_index(s).row_cardinalities())
+        << "shard " << s;
+  }
+  ExpectEntriesIdentical(refreshed.TopK(quiet, 8), rebuilt.TopK(quiet, 8),
+                         "TopK after restore");
+  ExpectPairsIdentical(refreshed.AllPairsAbove(0.25),
+                       rebuilt.AllPairsAbove(0.25), "pairs after restore");
+  std::remove(path.c_str());
 }
 
 TEST(QueryPlannerTest, EmptyAndDegenerateInputs) {

@@ -12,6 +12,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/fault_injector.h"
 #include "common/random.h"
 #include "core/sharded_vos_method.h"
 #include "core/sharded_vos_sketch.h"
@@ -616,6 +617,71 @@ TEST(ShardedVosMethodTest, ProducerLaneIngestMatchesSingleProducer) {
           << "pair=(" << u << "," << v << ")";
       ASSERT_EQ(actual.jaccard, expected.jaccard);
     }
+  }
+}
+
+// ------------------------------------------------- batched sync apply
+
+/// Every shard's array, cardinalities, dirty set and flip log, plus the
+/// pipeline's status and drop count, must agree.
+void ExpectPipelinesIdentical(const ShardedVosSketch& a,
+                              const ShardedVosSketch& b,
+                              const std::string& context) {
+  EXPECT_EQ(a.IngestStatus().ToString(), b.IngestStatus().ToString())
+      << context;
+  EXPECT_EQ(a.dropped_elements(), b.dropped_elements()) << context;
+  for (uint32_t s = 0; s < a.num_shards(); ++s) {
+    const VosSketch& x = a.shard(s);
+    const VosSketch& y = b.shard(s);
+    EXPECT_EQ(x.array().words(), y.array().words()) << context << " " << s;
+    EXPECT_EQ(x.array().ones(), y.array().ones()) << context << " " << s;
+    for (UserId u = 0; u < x.num_users(); ++u) {
+      ASSERT_EQ(x.Cardinality(u), y.Cardinality(u)) << context << " " << s;
+    }
+    EXPECT_EQ(x.dirty_users(), y.dirty_users()) << context << " " << s;
+    EXPECT_EQ(x.flip_log(), y.flip_log()) << context << " " << s;
+  }
+}
+
+/// Synchronous UpdateBatch (routed once, applied shard by shard through
+/// VosSketch::UpdateBatch) equals feeding the same elements one Update at
+/// a time — healthy, with an armed kUpdateThrow, and with the shard it
+/// poisoned rejecting later elements.
+TEST(BatchedSyncApplyTest, MatchesPerElementPathThroughFaultsAndPoison) {
+  const UserId users = 200;
+  const std::vector<Element> elements = DynamicStream(users, 6000, 61);
+  const size_t third = elements.size() / 3;
+  for (const uint32_t shards : {1u, 4u}) {
+    const std::string context = "shards=" + std::to_string(shards);
+    const ShardedVosConfig config = TestConfig(shards, 0);
+    ShardedVosSketch batched(config, users);
+    ShardedVosSketch looped(config, users);
+    const auto feed = [&](size_t begin, size_t end) {
+      batched.UpdateBatch(elements.data() + begin, end - begin);
+      for (size_t t = begin; t < end; ++t) looped.Update(elements[t]);
+    };
+    feed(0, third);
+    ExpectPipelinesIdentical(batched, looped, context + " healthy");
+
+    // The 50th element routed to the last shard throws, in each pipeline.
+    FaultSpec spec;
+    spec.site = FaultSite::kUpdateThrow;
+    spec.shard = shards - 1;
+    spec.after_hits = 50;
+    FaultInjector::Global().Arm(spec);
+    batched.UpdateBatch(elements.data() + third, third);
+    FaultInjector::Global().DisarmAll();
+    FaultInjector::Global().Arm(spec);
+    for (size_t t = third; t < 2 * third; ++t) looped.Update(elements[t]);
+    FaultInjector::Global().DisarmAll();
+    ASSERT_FALSE(batched.IngestStatus().ok()) << context;
+    ExpectPipelinesIdentical(batched, looped, context + " fault");
+
+    // Disarmed but degraded: the poisoned shard keeps rejecting.
+    const size_t dropped = batched.dropped_elements();
+    feed(2 * third, elements.size());
+    EXPECT_GT(batched.dropped_elements(), dropped) << context;
+    ExpectPipelinesIdentical(batched, looped, context + " poisoned");
   }
 }
 
