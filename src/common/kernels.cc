@@ -146,27 +146,6 @@ void ScalarRouteBatch(const uint32_t* users, size_t n, uint64_t seed_mix,
   }
 }
 
-// ----------------------------------------------------------------- band keys
-
-uint64_t ScalarBandKeyAt(const uint64_t* row, uint32_t bit_begin,
-                         uint32_t nbits) {
-  // bit_begin + nbits ≤ words·64, so the second word read is in range
-  // whenever the slice spans a word boundary.
-  const uint32_t w = bit_begin >> 6;
-  const uint32_t off = bit_begin & 63;
-  uint64_t v = row[w] >> off;
-  if (off + nbits > 64) v |= row[w + 1] << (64 - off);
-  return nbits == 64 ? v : (v & ((uint64_t{1} << nbits) - 1));
-}
-
-void ScalarBandKeys(const uint64_t* row, size_t words, uint32_t bands,
-                    uint32_t rows_per_band, uint64_t* keys) {
-  (void)words;
-  for (uint32_t b = 0; b < bands; ++b) {
-    keys[b] = ScalarBandKeyAt(row, b * rows_per_band, rows_per_band);
-  }
-}
-
 }  // namespace internal
 
 // ------------------------------------------------------------------ dispatch
@@ -180,7 +159,6 @@ constexpr KernelTable kScalarTable = {
     internal::ScalarPopcountWords,
     internal::ScalarExtractBits,
     internal::ScalarRouteBatch,
-    internal::ScalarBandKeys,
     DispatchLevel::kScalar,
     "scalar",
 };

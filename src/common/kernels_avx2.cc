@@ -295,49 +295,6 @@ void Avx2ExtractBits(const uint64_t* array_words, const uint64_t* seeds,
 // would regress the ingest hot path on AVX2-only machines. AVX-512 has
 // native vpmullq and keeps its vector implementation.
 
-// ---------------------------------------------------------------- band keys
-
-void Avx2BandKeys(const uint64_t* row, size_t words, uint32_t bands,
-                  uint32_t rows_per_band, uint64_t* keys) {
-  const uint64_t key_mask = rows_per_band == 64
-                                ? ~uint64_t{0}
-                                : ((uint64_t{1} << rows_per_band) - 1);
-  const __m256i mask_vec =
-      _mm256_set1_epi64x(static_cast<long long>(key_mask));
-  const __m256i low6 = _mm256_set1_epi64x(63);
-  const __m256i sixty_four = _mm256_set1_epi64x(64);
-  const __m256i last_word =
-      _mm256_set1_epi64x(static_cast<long long>(words - 1));
-  const __m256i step =
-      _mm256_set1_epi64x(static_cast<long long>(4 * rows_per_band));
-  __m256i begin = _mm256_setr_epi64x(
-      0, static_cast<long long>(rows_per_band),
-      static_cast<long long>(2 * rows_per_band),
-      static_cast<long long>(3 * rows_per_band));
-  uint32_t b = 0;
-  for (; b + 4 <= bands; b += 4, begin = _mm256_add_epi64(begin, step)) {
-    const __m256i w = _mm256_srli_epi64(begin, 6);
-    const __m256i off = _mm256_and_si256(begin, low6);
-    // Second word index clamped into range: lanes whose slice does not
-    // span a boundary shift it out entirely (variable shifts ≥ 64 yield
-    // 0 on AVX2), so the clamp only prevents the out-of-bounds gather.
-    const __m256i w_next = _mm256_add_epi64(w, _mm256_set1_epi64x(1));
-    const __m256i w2 = _mm256_blendv_epi8(
-        w_next, last_word, _mm256_cmpgt_epi64(w_next, last_word));
-    const long long* base = reinterpret_cast<const long long*>(row);
-    const __m256i g1 = _mm256_i64gather_epi64(base, w, 8);
-    const __m256i g2 = _mm256_i64gather_epi64(base, w2, 8);
-    const __m256i v = _mm256_or_si256(
-        _mm256_srlv_epi64(g1, off),
-        _mm256_sllv_epi64(g2, _mm256_sub_epi64(sixty_four, off)));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(keys + b),
-                        _mm256_and_si256(v, mask_vec));
-  }
-  for (; b < bands; ++b) {
-    keys[b] = ScalarBandKeyAt(row, b * rows_per_band, rows_per_band);
-  }
-}
-
 constexpr KernelTable kAvx2Table = {
     Avx2XorPopcount,
     Avx2XorPopcount8,
@@ -345,7 +302,6 @@ constexpr KernelTable kAvx2Table = {
     Avx2PopcountWords,
     Avx2ExtractBits,
     ScalarRouteBatch,  // see the routing note above: scalar wins on AVX2
-    Avx2BandKeys,
     DispatchLevel::kAvx2,
     "avx2",
 };

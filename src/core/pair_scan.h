@@ -24,22 +24,13 @@
 //     result is independent of thread count and schedule (callers sort
 //     with scan::PairBefore, a total order on unique pairs).
 //
-// The exact tiled path is bit-identical to the pre-tier scans for every
-// tile size, thread count and prefilter setting: tiles partition exactly
-// the same pair set, every surviving pair's Hamming distance is the same
-// integer, and the estimate is the same EstimateFromLogTerms call
-// (tests/pair_scan_test.cc asserts this across the full matrix).
-//
-// On top of the same pass plumbing sits opt-in LSH banding
-// (`QueryOptions::banding_bands` > 0): BandingTable slices the leading
-// banding_bands × banding_rows_per_band digest bits into per-band keys
-// at snapshot time, and a banded pass enumerates only bucket-colliding
-// pairs instead of tiles. Banding trades recall for enumeration — a pair
-// that collides in no band is never estimated — but never precision:
-// every reported pair carries the exact estimate the full scan would
-// have produced, so the banded result is a subset of the exact result
-// and recall is measurable against it (the banding recall contract,
-// src/core/README.md).
+// The tiled scan is bit-identical to the per-pair reference scans for
+// every tile size, thread count and prefilter setting: tiles partition
+// exactly the triangle/rectangle pair set, every surviving pair's Hamming
+// distance is the same integer, and the estimate is the same
+// EstimateFromLogTerms call (tests/pair_scan_test.cc asserts this across
+// the full matrix). It is the only all-pairs query path, and it reports
+// exactly the pairs the per-pair estimator puts at or above τ.
 //
 // Internal to core/; not part of the public query API.
 
@@ -48,7 +39,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <utility>
 #include <vector>
 
 #include "core/digest_matrix.h"
@@ -57,140 +47,12 @@
 
 namespace vos::core::pair_scan {
 
-/// Default tile edge: 256 rows ≈ 200 KiB per side at k = 6400, so a
-/// tile's working set stays L2-resident on common parts.
-inline constexpr size_t kDefaultTileRows = 256;
-
-/// Resolves a QueryOptions::tile_rows request (0 = the default above).
-inline size_t ResolveTileRows(size_t requested) {
-  return requested == 0 ? kDefaultTileRows : requested;
-}
-
 /// One side of a pass: a cardinality-sorted digest snapshot. `cards`
 /// must hold matrix->rows() non-decreasing values aligned with the rows.
 struct MatrixView {
   const DigestMatrix* matrix = nullptr;
   const uint32_t* cards = nullptr;
   size_t rows() const { return matrix == nullptr ? 0 : matrix->rows(); }
-};
-
-/// LSH banding index over one digest snapshot: band b's key is bits
-/// [b·rows_per_band, (b+1)·rows_per_band) of each row ("rows per band"
-/// in the classic LSH sense — each digest bit is one parity row, agreed
-/// on by a pair with probability 1−α). Keys are compared raw, so tables
-/// built over different shards' snapshots are join-compatible (the
-/// digest bit domain Ô_u is shared across shards). Built at
-/// Rebuild/Refresh time by SimilarityIndex when banding is enabled.
-///
-/// Entries are keyed by STABLE row id, not by matrix row: the caller may
-/// supply a `stable_of_row` permutation (SimilarityIndex passes its
-/// candidate indexes) and the table keeps a stable→row translation.
-/// Because a stable id's key depends only on its digest content, a
-/// cardinality re-sort that merely permutes rows leaves every entry of an
-/// unchanged digest byte-identical — which is what lets Patch() update
-/// the table incrementally after RefreshDirty instead of re-sorting
-/// O(bands · n log n) from scratch.
-///
-/// Degenerate-bucket guard: sparse snapshots (many all-zero digests) can
-/// put ~n rows in one bucket and make candidate generation quadratic.
-/// With `max_bucket` > 0 every key run is split into consecutive
-/// max_bucket-sized cohorts and pairs are enumerated within (triangle) /
-/// across aligned (rectangle) cohorts only, bounding candidates by
-/// O(run · max_bucket) per run. The cap trades recall (pairs straddling
-/// a cohort boundary are missed) for the subquadratic bound; 0 disables
-/// it (the raw constructor's default, so brute-force reference tests see
-/// the uncapped semantics).
-class BandingTable {
- public:
-  BandingTable() = default;
-
-  /// Indexes every row of `matrix` with identity stable ids and no
-  /// bucket cap. `rows_per_band` ∈ [1, 64]; `bands` is clamped so
-  /// bands · rows_per_band ≤ k (at least one band fits because
-  /// rows_per_band ≤ 64 ≤ k for any real sketch).
-  BandingTable(const DigestMatrix& matrix, uint32_t bands,
-               uint32_t rows_per_band);
-
-  /// Full form: `stable_of_row` (may be null = identity) maps matrix row
-  /// p to its stable id — a permutation of [0, rows); `max_bucket` is
-  /// the degenerate-bucket guard (0 = uncapped).
-  BandingTable(const DigestMatrix& matrix, uint32_t bands,
-               uint32_t rows_per_band, const uint32_t* stable_of_row,
-               uint32_t max_bucket);
-
-  /// Incremental maintenance after RefreshDirty: re-keys only the rows
-  /// whose STABLE id is flagged in `affected_by_stable` (size rows) and
-  /// re-translates stable→row from the new `stable_of_row` permutation.
-  /// O(bands · (n + A log A)) for A affected rows, vs O(bands · n log n)
-  /// for a rebuild — and bit-identical to one: unaffected digests keep
-  /// their exact (key, stable) entries, and merging the re-keyed rows
-  /// back restores the same total (key, stable) order a full sort would
-  /// produce (asserted in tests/query_optimizer_test.cc).
-  void Patch(const DigestMatrix& matrix, const uint32_t* stable_of_row,
-             const std::vector<uint8_t>& affected_by_stable);
-
-  uint32_t bands() const { return bands_; }
-  uint32_t rows_per_band() const { return rows_per_band_; }
-  size_t rows() const { return rows_; }
-  uint32_t max_bucket() const { return max_bucket_; }
-  bool empty() const { return bands_ == 0 || rows_ == 0; }
-
-  /// All unordered row pairs (p < q) colliding in at least one band —
-  /// within one guard cohort when max_bucket > 0 — sorted ascending and
-  /// deduplicated: the triangle pass's candidate list. Complexity
-  /// O(bands · rows + candidates) given the sorted segments.
-  std::vector<std::pair<uint32_t, uint32_t>> TriangleCandidates() const;
-
-  /// All (row of a, row of b) pairs colliding in at least one band —
-  /// the rectangle pass's candidate list (merge-join per band; the two
-  /// tables must share bands()/rows_per_band()). Either side's
-  /// max_bucket caps its cohorts.
-  static std::vector<std::pair<uint32_t, uint32_t>> RectangleCandidates(
-      const BandingTable& a, const BandingTable& b);
-
-  /// Candidate-pair count TriangleCandidates() would enumerate before
-  /// dedup — the optimizer's bucket-skew statistic, O(bands · runs)
-  /// closed-form arithmetic, no materialization.
-  size_t TriangleCandidateBound() const;
-
-  /// Rectangle twin of TriangleCandidateBound (pre-dedup count).
-  static size_t RectangleCandidateBound(const BandingTable& a,
-                                        const BandingTable& b);
-
-  /// Largest bucket (key run) across all bands — the raw skew statistic
-  /// the guard exists for.
-  size_t MaxBucketRun() const;
-
-  /// bands · rows: the entries a bucket walk / merge-join touches.
-  size_t entry_count() const { return entries_.size(); }
-
-  /// Appends the matrix rows sharing at least one band bucket with the
-  /// query digest `row` (`words` packed words, same geometry as the
-  /// indexed matrix) — the banded-TopK point lookup: per band one binary
-  /// search plus the bucket run, capped at max_bucket entries per run.
-  /// May contain duplicates and the query's own row; callers sort/unique
-  /// and filter.
-  void AppendRowCandidates(const uint64_t* row, size_t words,
-                           std::vector<uint32_t>* out) const;
-
-  /// Raw per-band segments of (key, stable id), band b owning
-  /// entries()[b·rows .. (b+1)·rows) sorted by (key, stable id) — the
-  /// patch-equivalence tests compare these against a fresh build.
-  const std::vector<std::pair<uint64_t, uint32_t>>& entries() const {
-    return entries_;
-  }
-
- private:
-  uint32_t bands_ = 0;
-  uint32_t rows_per_band_ = 0;
-  size_t rows_ = 0;
-  /// Degenerate-bucket guard: cohort size cap per key run (0 = off).
-  uint32_t max_bucket_ = 0;
-  /// Per-band segments of (key, stable id), each segment sorted by
-  /// (key, stable id): band b owns entries_[b·rows_ .. (b+1)·rows_).
-  std::vector<std::pair<uint64_t, uint32_t>> entries_;
-  /// row_of_stable_[stable id] = current matrix row (updated by Patch).
-  std::vector<uint32_t> row_of_stable_;
 };
 
 /// Everything the estimate/prefilter math shares across the passes of
@@ -218,18 +80,15 @@ struct Pass {
   /// own term for a triangle, the mean of the two shards' terms for a
   /// cross-shard rectangle.
   double log_beta_pair = 0.0;
-  /// Banding tables of the two sides (null = exact enumeration). Both
-  /// must be set, with equal geometry, for a banded rectangle.
-  const BandingTable* banding_a = nullptr;
-  const BandingTable* banding_b = nullptr;
   std::function<void(size_t p, size_t q, const PairEstimate& est,
                      std::vector<scan::Pair>& out)>
       emit;
 };
 
-/// Runs every pass — tiled when exact, bucket-driven when banded — over
-/// one dynamic worker pool of `num_threads` (0 = hardware concurrency,
-/// clamped to the unit count). Returns all emitted pairs concatenated in
+/// Runs every pass, tiled, over one dynamic worker pool of `num_threads`
+/// (0 = hardware concurrency, clamped to the unit count). `tile_rows` is
+/// the tile edge; 0 resolves to optimizer::AdaptiveTileRows of the
+/// passes' digest row width. Returns all emitted pairs concatenated in
 /// deterministic (pass, unit) order; callers sort with scan::PairBefore.
 std::vector<scan::Pair> RunPasses(const std::vector<Pass>& passes,
                                   const ScanParams& params, size_t tile_rows,

@@ -1,220 +1,13 @@
 #include "core/query_optimizer.h"
 
 #include <algorithm>
-#include <atomic>
-#include <cstdio>
-#include <cstdlib>
 #include <fstream>
-#include <limits>
 #include <string>
 #include <thread>
-#include <vector>
 
-#include "common/thread_annotations.h"
-#include "common/timer.h"
 #include "core/scan_common.h"
 
 namespace vos::core::optimizer {
-namespace {
-
-/// Keeps the probe loops observable so -O3 cannot fold them away.
-volatile uint64_t g_probe_sink = 0;
-
-uint64_t NextLcg(uint64_t* state) {
-  *state = *state * 6364136223846793005ull + 1442695040888963407ull;
-  return *state;
-}
-
-/// Runs `body` (which processes `units_per_call` units per call) until at
-/// least ~200 µs elapsed, returns seconds per unit. Geometric iteration
-/// growth keeps the probe short on fast kernels and honest on slow ones.
-template <typename Body>
-double SecondsPerUnit(double units_per_call, const Body& body) {
-  uint64_t iters = 16;
-  for (;;) {
-    WallTimer timer;
-    for (uint64_t it = 0; it < iters; ++it) body();
-    const double elapsed = timer.ElapsedSeconds();
-    if (elapsed >= 200e-6 || iters >= (uint64_t{1} << 22)) {
-      return elapsed / (static_cast<double>(iters) * units_per_call);
-    }
-    iters *= 4;
-  }
-}
-
-/// Microprobes one dispatch table: the 1×8 XOR+popcount kernel at two
-/// word counts (a two-point fit splits the marginal word cost from the
-/// fixed per-pair overhead), a pack-sort pass (the banded candidate
-/// list's dominant cost), and a linear run-detection walk (the banding
-/// bucket enumeration's per-entry cost).
-KernelCostModel ProbeLevel(const kernels::KernelTable& table) {
-  constexpr size_t kRows = 16;
-  constexpr size_t kWordsShort = 8;
-  constexpr size_t kWordsLong = 32;
-  std::vector<uint64_t> rows(kRows * kWordsLong);
-  uint64_t state = 0x9e3779b97f4a7c15ull;
-  for (uint64_t& w : rows) w = NextLcg(&state);
-
-  const auto pair_seconds = [&](size_t words) {
-    return SecondsPerUnit(static_cast<double>((kRows - 8) * 8), [&] {
-      size_t out[8];
-      uint64_t sink = 0;
-      for (size_t r = 0; r + 8 < kRows; ++r) {
-        table.xor_popcount8(rows.data() + r * kWordsLong,
-                            rows.data() + (r + 1) * kWordsLong, kWordsLong,
-                            words, out);
-        sink += out[0] + out[7];
-      }
-      g_probe_sink = g_probe_sink + sink;
-    });
-  };
-  const double t_short = pair_seconds(kWordsShort);
-  const double t_long = pair_seconds(kWordsLong);
-
-  KernelCostModel costs;
-  costs.seconds_per_pair_word =
-      std::max((t_long - t_short) / (kWordsLong - kWordsShort), 1e-12);
-  // The fixed overhead can probe negative under timer noise; floor it at
-  // one word's cost so no plan ever looks free.
-  costs.seconds_per_pair = std::max(
-      t_short - costs.seconds_per_pair_word * kWordsShort,
-      costs.seconds_per_pair_word);
-
-  constexpr size_t kSortN = size_t{1} << 13;
-  std::vector<uint64_t> unsorted(kSortN);
-  for (uint64_t& v : unsorted) v = NextLcg(&state);
-  std::vector<uint64_t> scratch(kSortN);
-  costs.seconds_per_candidate =
-      SecondsPerUnit(static_cast<double>(kSortN), [&] {
-        scratch = unsorted;
-        std::sort(scratch.begin(), scratch.end());
-        g_probe_sink = g_probe_sink + scratch[0];
-      });
-  // scratch is now sorted; a run-detection walk over it prices the
-  // bucket-enumeration / merge-join entry cost.
-  costs.seconds_per_entry = SecondsPerUnit(static_cast<double>(kSortN), [&] {
-    uint64_t runs = 0;
-    for (size_t i = 1; i < kSortN; ++i) runs += scratch[i] != scratch[i - 1];
-    g_probe_sink = g_probe_sink + runs;
-  });
-  costs.level = table.level;
-  return costs;
-}
-
-constexpr size_t kNumLevels = 4;
-
-Mutex g_costs_mutex;
-bool g_probed[kNumLevels] VOS_GUARDED_BY(g_costs_mutex) = {};
-KernelCostModel g_costs[kNumLevels] VOS_GUARDED_BY(g_costs_mutex);
-bool g_override_set VOS_GUARDED_BY(g_costs_mutex) = false;
-KernelCostModel g_override VOS_GUARDED_BY(g_costs_mutex);
-
-}  // namespace
-
-const char* PlanModeName(PlanMode mode) {
-  switch (mode) {
-    case PlanMode::kAuto:
-      return "auto";
-    case PlanMode::kForceExact:
-      return "exact";
-    case PlanMode::kForceBanded:
-      return "banded";
-  }
-  return "auto";
-}
-
-const char* PlanKindName(PlanKind kind) {
-  return kind == PlanKind::kBanded ? "banded" : "exact";
-}
-
-bool ParsePlanMode(const char* s, PlanMode* out) {
-  if (s == nullptr) return false;
-  const std::string value(s);
-  if (value == "auto") {
-    *out = PlanMode::kAuto;
-  } else if (value == "exact") {
-    *out = PlanMode::kForceExact;
-  } else if (value == "banded") {
-    *out = PlanMode::kForceBanded;
-  } else {
-    return false;
-  }
-  return true;
-}
-
-PlanMode EffectivePlanMode(PlanMode configured) {
-  const char* env = std::getenv("VOS_PLAN");
-  if (env == nullptr || env[0] == '\0') return configured;
-  PlanMode parsed;
-  if (ParsePlanMode(env, &parsed)) return parsed;
-  static std::atomic<bool> warned{false};
-  if (!warned.exchange(true, std::memory_order_relaxed)) {
-    std::fprintf(stderr,
-                 "vos: unknown VOS_PLAN value \"%s\" ignored "
-                 "(want auto | exact | banded)\n",
-                 env);
-  }
-  return configured;
-}
-
-const KernelCostModel& CalibratedCosts() {
-  const kernels::DispatchLevel level = kernels::ActiveLevel();
-  const size_t idx =
-      std::min<size_t>(static_cast<size_t>(level), kNumLevels - 1);
-  MutexLock lock(&g_costs_mutex);
-  if (g_override_set) return g_override;
-  if (!g_probed[idx]) {
-    const kernels::KernelTable* table = kernels::TableFor(level);
-    g_costs[idx] = ProbeLevel(table != nullptr ? *table : kernels::Active());
-    g_probed[idx] = true;
-  }
-  return g_costs[idx];
-}
-
-void SetCalibratedCostsForTest(const KernelCostModel* costs) {
-  MutexLock lock(&g_costs_mutex);
-  g_override_set = costs != nullptr;
-  if (costs != nullptr) g_override = *costs;
-}
-
-PassPlan ChoosePassPlan(const PassStats& stats, const KernelCostModel& costs,
-                        PlanMode mode) {
-  PassPlan plan;
-  const double per_pair =
-      static_cast<double>(stats.words_per_row) * costs.seconds_per_pair_word +
-      costs.seconds_per_pair;
-  plan.exact_cost = static_cast<double>(stats.exact_pairs) * per_pair;
-  if (!stats.banded_available) {
-    // Nothing to choose: a force-banded request degrades to exact rather
-    // than failing, so VOS_PLAN=banded is safe over banding-off configs.
-    plan.banded_cost = std::numeric_limits<double>::infinity();
-    plan.kind = PlanKind::kExact;
-    plan.forced = mode != PlanMode::kAuto;
-    return plan;
-  }
-  const double entry_walk =
-      static_cast<double>(stats.banded_entries) * costs.seconds_per_entry;
-  plan.banded_cost =
-      entry_walk +
-      static_cast<double>(stats.banded_candidates) *
-          (per_pair + costs.seconds_per_candidate) +
-      stats.dirty_fraction * entry_walk;
-  switch (mode) {
-    case PlanMode::kForceExact:
-      plan.kind = PlanKind::kExact;
-      plan.forced = true;
-      break;
-    case PlanMode::kForceBanded:
-      plan.kind = PlanKind::kBanded;
-      plan.forced = true;
-      break;
-    case PlanMode::kAuto:
-      plan.kind = plan.banded_cost < plan.exact_cost ? PlanKind::kBanded
-                                                     : PlanKind::kExact;
-      break;
-  }
-  return plan;
-}
 
 size_t TriangleWindowPairs(const uint32_t* cards, size_t n, double tau,
                            bool prefilter) {

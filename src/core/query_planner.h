@@ -34,11 +34,9 @@
 //     the combined ln|1−2β_A| + ln|1−2β_B| cut. Estimates are
 //     bit-identical to ShardedVosSketch::EstimatePair on the same
 //     quiesced state: the same log-alpha table, the same mean-log-beta
-//     combination. With QueryOptions::banding_bands > 0 every pass runs
-//     banded instead (per-shard BandingTables built at Rebuild/Refresh;
-//     cross-shard passes merge-join two shards' tables): the result is a
-//     subset of the exact result with identical per-pair estimates — the
-//     banding recall contract, src/core/README.md.
+//     combination. The tiled scan is the only all-pairs plan;
+//     PlanAllPairs(τ) reports each pass's window-pair count without
+//     scanning.
 //
 //   * TopK(u, k) scatters the query digest to every shard index and
 //     gathers per-shard top-k lists under a shared global threshold
@@ -82,6 +80,7 @@
 #include <vector>
 
 #include "common/thread_annotations.h"
+#include "core/query_optimizer.h"
 #include "core/sharded_vos_sketch.h"
 #include "core/similarity_index.h"
 
@@ -151,18 +150,14 @@ class QueryPlanner {
 
   const QueryOptions& query_options() const { return query_options_; }
 
-  /// The optimizer's verdicts for every pass AllPairsAbove(τ) would run,
-  /// in pass order (the S same-shard triangles with ≥ 2 rows, then the
-  /// cross-shard rectangles with two non-empty sides). The decision code
-  /// is shared with AllPairsAbove, so each report predicts the executed
-  /// plan (core/query_optimizer.h).
+  /// The work statistics of every pass AllPairsAbove(τ) would run, in
+  /// pass order: the S same-shard triangles with ≥ 2 rows, then the
+  /// cross-shard rectangles with two non-empty sides. Each report's
+  /// stats.exact_pairs is the pass's window-pair count
+  /// (core/query_optimizer.h) — the pairs the tiled scan enumerates.
+  /// O(rows) per pass, no popcounts; for benches and diagnostics.
   std::vector<optimizer::PassReport> PlanAllPairs(
       double jaccard_threshold) const;
-
-  /// Recall feedback fan-out: forwards to every shard index's
-  /// ReportMeasuredRecall, so an undershoot re-plans every pass of the
-  /// next snapshot exact (rectangles consult both sides' feedback bits).
-  void ReportMeasuredRecall(double recall) const;
 
   /// Task-level worker count for subsequent Rebuild/Refresh/queries
   /// (0 = hardware concurrency). Results are bit-identical for every
@@ -178,13 +173,6 @@ class QueryPlanner {
   /// `warm_seed` (≤ 0 = cold). A positive seed may prune entries the
   /// final result needs, so TopK() verifies and reruns cold.
   std::vector<Entry> TopKImpl(UserId query, size_t k, double warm_seed) const;
-
-  /// The shared stats → plan decision for the cross-shard rectangle
-  /// s × t at `jaccard_threshold` (see SimilarityIndex::PlanTrianglePass
-  /// for the triangle twin).
-  optimizer::PassReport PlanRectanglePass(uint32_t s, uint32_t t,
-                                          double jaccard_threshold,
-                                          bool prefilter) const;
 
   /// Global id of shard s's matrix row p.
   UserId GlobalOfRow(uint32_t s, size_t p) const;

@@ -54,13 +54,6 @@ void ShardedVosMethod::PrepareQuery(const std::vector<UserId>& users) {
       planner_options.num_threads = query_threads_;
       planner_options.incremental = true;
       planner_options.tile_rows = query_config_.tile_rows;
-      planner_options.banding_bands = query_config_.banding_bands;
-      planner_options.banding_rows_per_band =
-          query_config_.banding_rows_per_band;
-      planner_options.banding_max_bucket = query_config_.banding_max_bucket;
-      planner_options.banding_recall_floor =
-          query_config_.banding_recall_floor;
-      planner_options.plan = query_config_.plan;
       planner_ = std::make_unique<QueryPlanner>(
           sketch_, sketch_.estimator().options(), planner_options);
     } else {

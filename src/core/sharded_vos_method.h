@@ -49,25 +49,10 @@ struct ShardedQueryConfig {
   /// Planner task-level worker threads (0 = hardware concurrency). Only
   /// meaningful with shards_local; SetQueryThreads overrides it.
   unsigned planner_threads = 0;
-  /// Rows per tile edge of the planner's pair scans (0 = the pair_scan
-  /// tier default; see QueryOptions::tile_rows). Only meaningful with
+  /// Rows per tile edge of the planner's pair scans (0 = sized from the
+  /// cache hierarchy; see QueryOptions::tile_rows). Only meaningful with
   /// shards_local.
   size_t tile_rows = 0;
-  /// Opt-in LSH banding for planner-level AllPairsAbove over the tracked
-  /// set (see QueryOptions::banding_bands; 0 = exact, the default).
-  /// Per-pair EstimatePair answers are unaffected — banding only changes
-  /// which pairs a planner all-pairs query enumerates.
-  uint32_t banding_bands = 0;
-  uint32_t banding_rows_per_band = 8;
-  /// Degenerate-bucket guard for the banding tables (see
-  /// QueryOptions::banding_max_bucket; 0 = uncapped).
-  uint32_t banding_max_bucket = 1024;
-  /// Recall floor of the optimizer's feedback loop (see
-  /// QueryOptions::banding_recall_floor; 0 = off).
-  double banding_recall_floor = 0.0;
-  /// Per-pass plan selection for planner queries (see
-  /// QueryOptions::plan; VOS_PLAN overrides per query).
-  optimizer::PlanMode plan = optimizer::PlanMode::kAuto;
 };
 
 /// Sharded VOS as a pluggable SimilarityMethod ("VOS-sharded").

@@ -3,8 +3,7 @@
 // produce EXACTLY the scalar reference's outputs for every kernel, on
 // random and adversarial inputs — tail lengths 0–7 words, odd strides,
 // unaligned row bases, all-zero and all-one rows, k values that are not
-// lane- or word-multiples, m both below and above 2^32, band geometries
-// that end flush against the last packed word. Dispatch must never
+// lane- or word-multiples, m both below and above 2^32. Dispatch must never
 // change results, only throughput; this test is the contract the rest of
 // the system's bit-identity suites stand on, and it runs under the ASan
 // and TSAN CI jobs (unaligned loads and the concurrent-resolution smoke
@@ -236,36 +235,6 @@ TEST(KernelDispatchTest, RouteBatchMatchesScalarAcrossShardCountsAndTails) {
         EXPECT_EQ(got_tags, std::vector<uint16_t>(want_shards.begin(),
                                                   want_shards.begin() + n))
             << table->name << " shards=" << shards << " n=" << n;
-      }
-    }
-  }
-}
-
-// Band keys: geometries whose last band ends flush against the last
-// packed word (the spill-gather clamp path), rows_per_band 1 and 64
-// (mask edge cases), and band counts that are not lane multiples.
-TEST(KernelDispatchTest, BandKeysMatchScalarIncludingFlushLastWord) {
-  const KernelTable* scalar = TableFor(DispatchLevel::kScalar);
-  Rng rng(9);
-  for (const KernelTable* table : AllTables()) {
-    for (const uint32_t rpb : {1u, 3u, 5u, 8u, 13u, 31u, 32u, 63u, 64u}) {
-      for (const size_t words : {1, 2, 3, 7, 25, 100}) {
-        // Max bands the contract allows, plus smaller ragged counts.
-        const uint32_t max_bands = static_cast<uint32_t>(words * 64 / rpb);
-        for (uint32_t bands :
-             {uint32_t{1}, max_bands / 2 + 1, max_bands}) {
-          if (bands == 0 || bands > max_bands) continue;
-          for (uint64_t pattern = 0; pattern < 4; ++pattern) {
-            const std::vector<uint64_t> row =
-                FillWords(words, pattern * 3 + words);
-            std::vector<uint64_t> got(bands, 1), want(bands, 2);
-            table->band_keys(row.data(), words, bands, rpb, got.data());
-            scalar->band_keys(row.data(), words, bands, rpb, want.data());
-            EXPECT_EQ(got, want)
-                << table->name << " rpb=" << rpb << " words=" << words
-                << " bands=" << bands << " pattern=" << pattern;
-          }
-        }
       }
     }
   }

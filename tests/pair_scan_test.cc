@@ -1,38 +1,29 @@
 // Tests for the shared tiled pair-scan tier (core/pair_scan.h).
 //
-// The tier's contract has two halves:
+// The tier's contract: the tiled path is bit-identical to the scalar
+// references in both call sites — SimilarityIndex::AllPairsAbove and
+// QueryPlanner::AllPairsAbove — for every tile size (1 row, the adaptive
+// default, whole-pass), thread count, shard count and prefilter setting.
+// Tiles repartition the enumeration; they must never change a single bit
+// of the output.
 //
-//   * The EXACT tiled path is bit-identical to the scalar references in
-//     both call sites — SimilarityIndex::AllPairsAbove and
-//     QueryPlanner::AllPairsAbove — for every tile size (1 row, the
-//     default, whole-pass), thread count, shard count and prefilter
-//     setting. Tiles repartition the enumeration; they must never change
-//     a single bit of the output.
-//
-//   * The BANDED path (QueryOptions::banding_bands > 0) returns a subset
-//     of the exact result whose surviving pairs carry bit-identical
-//     estimates (precision 1 by construction), with recall measurable
-//     against the exact pass — asserted here against a planted-overlap
-//     floor on a community stream.
-//
-// Also covered: BandingTable candidate generation against brute force,
-// band-count clamping, and the TopK warm-start (explicit seed and
-// planner-held), which must be bit-identical to a cold start whether the
-// seed is loose, exact, or over-tight (the over-pruned case must fall
-// back to a cold rerun).
+// Also covered: the window-pair counts (core/query_optimizer.h) against
+// brute force, the adaptive tile-size bounds, and the TopK warm-start
+// (explicit seed and planner-held), which must be bit-identical to a
+// cold start whether the seed is loose, exact, or over-tight (the
+// over-pruned case must fall back to a cold rerun).
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <map>
+#include <limits>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "common/random.h"
-#include "core/digest_matrix.h"
-#include "core/pair_scan.h"
+#include "core/query_optimizer.h"
 #include "core/query_planner.h"
+#include "core/scan_common.h"
 #include "core/sharded_vos_sketch.h"
 #include "core/similarity_index.h"
 #include "core/vos_method.h"
@@ -186,245 +177,83 @@ TEST(PairScanTest, PlannerBitIdenticalAcrossTileSizesThreadsShards) {
   }
 }
 
-// ------------------------------------------------------ banding tables
+// ------------------------------------------ work counts and tile sizes
 
-uint64_t ReferenceBandKey(const DigestMatrix& matrix, size_t row,
-                          uint32_t band, uint32_t rows_per_band) {
-  uint64_t key = 0;
-  for (uint32_t j = 0; j < rows_per_band; ++j) {
-    const uint32_t bit = band * rows_per_band + j;
-    const uint64_t word = matrix.Row(row)[bit >> 6];
-    key |= ((word >> (bit & 63)) & 1) << j;
-  }
-  return key;
-}
-
-DigestMatrix RandomMatrix(uint32_t k, size_t rows, uint64_t seed) {
-  DigestMatrix matrix(k, rows);
-  Rng rng(seed);
-  const size_t words = DigestMatrix::WordsPerRow(k);
-  for (size_t r = 0; r < rows; ++r) {
-    uint64_t* row = matrix.MutableRow(r);
-    for (size_t w = 0; w < words; ++w) {
-      // Sparse-ish rows so band-key collisions actually occur.
-      row[w] = rng.NextU64() & rng.NextU64() & rng.NextU64();
+size_t BruteTrianglePairs(const std::vector<uint32_t>& cards, double tau) {
+  const double tau_frac = tau / (1.0 + tau);
+  size_t pairs = 0;
+  for (size_t p = 0; p < cards.size(); ++p) {
+    for (size_t q = p + 1; q < cards.size(); ++q) {
+      const double lo = std::min(cards[p], cards[q]);
+      const double sum = static_cast<double>(cards[p]) + cards[q];
+      if (!scan::CardinalityFail(lo, sum, tau_frac)) ++pairs;
     }
-    const uint32_t tail = k & 63;
-    if (tail != 0) row[words - 1] &= (uint64_t{1} << tail) - 1;
   }
-  return matrix;
+  return pairs;
 }
 
-TEST(PairScanTest, BandingTriangleCandidatesMatchBruteForce) {
-  const uint32_t k = 192;
-  const uint32_t bands = 6;
-  const uint32_t rows_per_band = 7;  // spans word boundaries at band 9*7=63
-  const size_t rows = 40;
-  const DigestMatrix matrix = RandomMatrix(k, rows, 77);
-  const pair_scan::BandingTable table(matrix, bands, rows_per_band);
-  ASSERT_EQ(table.bands(), bands);
+TEST(PairScanTest, WindowPairCountsMatchBruteForce) {
+  Rng rng(47);
+  for (const size_t n : {size_t{0}, size_t{1}, size_t{2}, size_t{17},
+                         size_t{64}, size_t{257}}) {
+    std::vector<uint32_t> cards(n);
+    for (uint32_t& c : cards) c = static_cast<uint32_t>(rng.NextU64() % 500);
+    std::sort(cards.begin(), cards.end());
+    std::vector<uint32_t> other(n / 2 + (n > 0 ? 1 : 0));
+    for (uint32_t& c : other) c = static_cast<uint32_t>(rng.NextU64() % 500);
+    std::sort(other.begin(), other.end());
 
-  std::vector<std::pair<uint32_t, uint32_t>> expected;
-  for (uint32_t p = 0; p < rows; ++p) {
-    for (uint32_t q = p + 1; q < rows; ++q) {
-      for (uint32_t b = 0; b < bands; ++b) {
-        if (ReferenceBandKey(matrix, p, b, rows_per_band) ==
-            ReferenceBandKey(matrix, q, b, rows_per_band)) {
-          expected.push_back({p, q});
-          break;
+    for (const double tau : {0.1, 0.4, 0.9}) {
+      EXPECT_EQ(optimizer::TriangleWindowPairs(cards.data(), n, tau, true),
+                BruteTrianglePairs(cards, tau))
+          << "n=" << n << " tau=" << tau;
+
+      const double tau_frac = tau / (1.0 + tau);
+      size_t rect = 0;
+      for (const uint32_t a : cards) {
+        for (const uint32_t b : other) {
+          const double lo = std::min(a, b);
+          if (!scan::CardinalityFail(lo, static_cast<double>(a) + b,
+                                     tau_frac)) {
+            ++rect;
+          }
         }
       }
+      EXPECT_EQ(optimizer::RectangleWindowPairs(cards.data(), n, other.data(),
+                                                other.size(), tau, true),
+                rect)
+          << "n=" << n << " tau=" << tau;
     }
+    // prefilter off = the full pair space.
+    EXPECT_EQ(optimizer::TriangleWindowPairs(cards.data(), n, 0.4, false),
+              n < 2 ? 0 : n * (n - 1) / 2);
+    EXPECT_EQ(optimizer::RectangleWindowPairs(cards.data(), n, other.data(),
+                                              other.size(), 0.4, false),
+              n * other.size());
   }
-  const auto got = table.TriangleCandidates();
-  ASSERT_FALSE(got.empty()) << "sparse rows must collide somewhere";
-  EXPECT_EQ(got, expected);
 }
 
-TEST(PairScanTest, BandingRectangleCandidatesMatchBruteForce) {
-  const uint32_t k = 192;
-  const uint32_t bands = 8;
-  const uint32_t rows_per_band = 6;
-  const DigestMatrix ma = RandomMatrix(k, 30, 78);
-  const DigestMatrix mb = RandomMatrix(k, 26, 79);
-  const pair_scan::BandingTable ta(ma, bands, rows_per_band);
-  const pair_scan::BandingTable tb(mb, bands, rows_per_band);
-
-  std::vector<std::pair<uint32_t, uint32_t>> expected;
-  for (uint32_t p = 0; p < ma.rows(); ++p) {
-    for (uint32_t q = 0; q < mb.rows(); ++q) {
-      for (uint32_t b = 0; b < bands; ++b) {
-        if (ReferenceBandKey(ma, p, b, rows_per_band) ==
-            ReferenceBandKey(mb, q, b, rows_per_band)) {
-          expected.push_back({p, q});
-          break;
-        }
-      }
+TEST(PairScanTest, AdaptiveTileRowsBoundedAlignedMonotone) {
+  size_t previous = std::numeric_limits<size_t>::max();
+  for (const size_t words : {size_t{0}, size_t{1}, size_t{8}, size_t{25},
+                             size_t{100}, size_t{1000}, size_t{100000}}) {
+    const size_t tile = optimizer::AdaptiveTileRows(words);
+    EXPECT_GE(tile, 64u) << "words=" << words;
+    EXPECT_LE(tile, 2048u) << "words=" << words;
+    EXPECT_EQ(tile % 8, 0u) << "words=" << words;
+    EXPECT_EQ(tile, optimizer::AdaptiveTileRows(words))
+        << "must be deterministic per process";
+    if (words > 0) {
+      EXPECT_LE(tile, previous) << "wider rows cannot grow the tile";
+      previous = tile;
     }
-  }
-  std::sort(expected.begin(), expected.end());
-  const auto got = pair_scan::BandingTable::RectangleCandidates(ta, tb);
-  ASSERT_FALSE(got.empty());
-  EXPECT_EQ(got, expected);
-}
-
-TEST(PairScanTest, BandingClampsBandCountToDigest) {
-  const DigestMatrix matrix = RandomMatrix(512, 8, 80);
-  const pair_scan::BandingTable table(matrix, 1000, 64);
-  EXPECT_EQ(table.bands(), 512u / 64u);  // bands · rows_per_band ≤ k
-  const pair_scan::BandingTable exact_fit(matrix, 64, 8);
-  EXPECT_EQ(exact_fit.bands(), 64u);
-}
-
-// ------------------------------------------- banded scans: the contract
-
-/// Banded result ⊆ exact result with bit-identical estimates (precision
-/// 1), and recall over the exact pass ≥ the planted-overlap floor — on
-/// the single index.
-TEST(PairScanTest, IndexBandingSubsetExactEstimatesAndRecallFloor) {
-  const UserId users = 96;
-  const std::vector<Element> elements = CommunityStream(users, 60, 9);
-  VosSketch sketch(IndexConfig(), users);
-  for (const Element& e : elements) sketch.Update(e);
-  std::vector<UserId> candidates;
-  for (UserId u = 0; u < users; ++u) candidates.push_back(u);
-
-  SimilarityIndex exact(sketch);
-  exact.Rebuild(candidates);
-  const auto exact_pairs = exact.AllPairsAbove(0.4);
-  ASSERT_GE(exact_pairs.size(), users / 6)
-      << "most 4-user groups plant a pair above τ";
-
-  QueryOptions banded_options;
-  banded_options.banding_bands = 32;
-  banded_options.banding_rows_per_band = 4;
-  banded_options.num_threads = 4;
-  SimilarityIndex banded(sketch, {}, banded_options);
-  banded.Rebuild(candidates);
-  ASSERT_NE(banded.banding_table(), nullptr);
-  const auto banded_pairs = banded.AllPairsAbove(0.4);
-
-  std::map<std::pair<UserId, UserId>, std::pair<double, double>> exact_by_pair;
-  for (const auto& pair : exact_pairs) {
-    exact_by_pair[{pair.u, pair.v}] = {pair.common, pair.jaccard};
-  }
-  for (const auto& pair : banded_pairs) {
-    const auto it = exact_by_pair.find({pair.u, pair.v});
-    ASSERT_NE(it, exact_by_pair.end())
-        << "banded pair (" << pair.u << "," << pair.v
-        << ") not in the exact result — precision must be 1";
-    EXPECT_EQ(pair.common, it->second.first);
-    EXPECT_EQ(pair.jaccard, it->second.second);
-  }
-  const double recall = static_cast<double>(banded_pairs.size()) /
-                        static_cast<double>(exact_pairs.size());
-  EXPECT_GE(recall, 0.9) << "banded recall below the planted-overlap floor ("
-                         << banded_pairs.size() << "/" << exact_pairs.size()
-                         << ")";
-}
-
-/// Same contract through the planner at S = 4: the banded cross-shard
-/// rectangles merge-join two shards' tables, and the union over all
-/// passes must still be a subset-with-identical-estimates of the exact
-/// planner result, above the same recall floor.
-TEST(PairScanTest, PlannerBandingSubsetExactEstimatesAndRecallFloor) {
-  const UserId users = 96;
-  const std::vector<Element> elements = CommunityStream(users, 60, 9);
-  ShardedVosSketch sketch(PlannerConfig(4), users);
-  sketch.UpdateBatch(elements.data(), elements.size());
-  std::vector<UserId> candidates;
-  for (UserId u = 0; u < users; ++u) candidates.push_back(u);
-
-  QueryPlanner exact(sketch);
-  exact.Rebuild(candidates);
-  const auto exact_pairs = exact.AllPairsAbove(0.4);
-  ASSERT_GE(exact_pairs.size(), users / 6);
-  const bool has_cross = std::any_of(
-      exact_pairs.begin(), exact_pairs.end(), [&](const QueryPlanner::Pair& p) {
-        return sketch.ShardOf(p.u) != sketch.ShardOf(p.v);
-      });
-  ASSERT_TRUE(has_cross) << "floor must cover cross-shard rectangles too";
-
-  QueryOptions banded_options;
-  banded_options.banding_bands = 32;
-  banded_options.banding_rows_per_band = 4;
-  banded_options.num_threads = 4;
-  QueryPlanner banded(sketch, {}, banded_options);
-  banded.Rebuild(candidates);
-  const auto banded_pairs = banded.AllPairsAbove(0.4);
-
-  std::map<std::pair<UserId, UserId>, std::pair<double, double>> exact_by_pair;
-  for (const auto& pair : exact_pairs) {
-    exact_by_pair[{pair.u, pair.v}] = {pair.common, pair.jaccard};
-  }
-  size_t banded_cross = 0;
-  for (const auto& pair : banded_pairs) {
-    const auto it = exact_by_pair.find({pair.u, pair.v});
-    ASSERT_NE(it, exact_by_pair.end())
-        << "banded planner pair (" << pair.u << "," << pair.v
-        << ") not in the exact result";
-    EXPECT_EQ(pair.common, it->second.first);
-    EXPECT_EQ(pair.jaccard, it->second.second);
-    if (sketch.ShardOf(pair.u) != sketch.ShardOf(pair.v)) ++banded_cross;
-  }
-  EXPECT_GT(banded_cross, 0u) << "banded rectangles must surface pairs";
-  const double recall = static_cast<double>(banded_pairs.size()) /
-                        static_cast<double>(exact_pairs.size());
-  EXPECT_GE(recall, 0.9) << banded_pairs.size() << "/" << exact_pairs.size();
-}
-
-/// Banding only changes enumeration; RefreshDirty must rebuild the table
-/// so post-churn banded scans keep the subset/identical-estimate
-/// contract against a post-churn exact scan.
-TEST(PairScanTest, BandingTableSurvivesIncrementalRefresh) {
-  const UserId users = 64;
-  const std::vector<Element> elements = CommunityStream(users, 50, 21);
-  VosConfig config = IndexConfig();
-  config.track_dirty = true;
-  VosSketch sketch(config, users);
-  for (const Element& e : elements) sketch.Update(e);
-  std::vector<UserId> candidates;
-  for (UserId u = 0; u < users; ++u) candidates.push_back(u);
-
-  QueryOptions options;
-  options.banding_bands = 32;
-  options.banding_rows_per_band = 4;
-  options.incremental = true;
-  SimilarityIndex banded(sketch, {}, options);
-  banded.Rebuild(candidates);
-
-  ItemId next_item = 1 << 29;
-  for (const UserId touched : {UserId{0}, UserId{17}}) {
-    sketch.Update({touched, next_item++, Action::kInsert});
-    sketch.Update({touched, next_item++, Action::kInsert});
-  }
-  EXPECT_TRUE(banded.RefreshDirty());
-  ASSERT_NE(banded.banding_table(), nullptr);
-
-  SimilarityIndex exact(sketch);
-  exact.Rebuild(candidates);
-  const auto exact_pairs = exact.AllPairsAbove(0.4);
-  std::map<std::pair<UserId, UserId>, std::pair<double, double>> exact_by_pair;
-  for (const auto& pair : exact_pairs) {
-    exact_by_pair[{pair.u, pair.v}] = {pair.common, pair.jaccard};
-  }
-  const auto banded_pairs = banded.AllPairsAbove(0.4);
-  ASSERT_FALSE(banded_pairs.empty());
-  for (const auto& pair : banded_pairs) {
-    const auto it = exact_by_pair.find({pair.u, pair.v});
-    ASSERT_NE(it, exact_by_pair.end())
-        << "stale banding table after refresh: pair (" << pair.u << ","
-        << pair.v << ")";
-    EXPECT_EQ(pair.common, it->second.first);
-    EXPECT_EQ(pair.jaccard, it->second.second);
   }
 }
 
 /// The factory-knob path into the tier: VosMethod::MakeIndex must build
-/// its snapshot with the method's QueryOptions, so tile_rows and
-/// banding_* configured at construction govern the scans (tiled exact
-/// path bit-identical; banded path a subset with identical estimates).
-TEST(PairScanTest, VosMethodMakeIndexHonorsTileAndBandingKnobs) {
+/// its snapshot with the method's QueryOptions, so a tile_rows configured
+/// at construction governs the scan (and stays bit-identical).
+TEST(PairScanTest, VosMethodMakeIndexHonorsTileRows) {
   const UserId users = 64;
   const std::vector<Element> elements = CommunityStream(users, 50, 27);
   std::vector<UserId> candidates;
@@ -433,19 +262,13 @@ TEST(PairScanTest, VosMethodMakeIndexHonorsTileAndBandingKnobs) {
   QueryOptions tiled_options;
   tiled_options.tile_rows = 7;  // deliberately odd: many partial tiles
   VosMethod tiled_method(IndexConfig(), users, {}, tiled_options);
-  QueryOptions banded_options;
-  banded_options.banding_bands = 32;
-  banded_options.banding_rows_per_band = 4;
-  VosMethod banded_method(IndexConfig(), users, {}, banded_options);
   VosMethod plain_method(IndexConfig(), users);
   for (const Element& e : elements) {
     tiled_method.Update(e);
-    banded_method.Update(e);
     plain_method.Update(e);
   }
 
   const auto plain = plain_method.MakeIndex(candidates);
-  EXPECT_EQ(plain->banding_table(), nullptr);
   const auto exact_pairs = plain->AllPairsAbove(0.4);
   ASSERT_FALSE(exact_pairs.empty());
 
@@ -453,21 +276,6 @@ TEST(PairScanTest, VosMethodMakeIndexHonorsTileAndBandingKnobs) {
   EXPECT_EQ(tiled->query_options().tile_rows, 7u);
   ExpectPairsIdentical(tiled->AllPairsAbove(0.4), exact_pairs,
                        "MakeIndex tile_rows=7");
-
-  const auto banded = banded_method.MakeIndex(candidates);
-  ASSERT_NE(banded->banding_table(), nullptr);
-  std::map<std::pair<UserId, UserId>, std::pair<double, double>> exact_by_pair;
-  for (const auto& pair : exact_pairs) {
-    exact_by_pair[{pair.u, pair.v}] = {pair.common, pair.jaccard};
-  }
-  const auto banded_pairs = banded->AllPairsAbove(0.4);
-  ASSERT_FALSE(banded_pairs.empty());
-  for (const auto& pair : banded_pairs) {
-    const auto it = exact_by_pair.find({pair.u, pair.v});
-    ASSERT_NE(it, exact_by_pair.end());
-    EXPECT_EQ(pair.common, it->second.first);
-    EXPECT_EQ(pair.jaccard, it->second.second);
-  }
 }
 
 // ------------------------------------------------- TopK warm start

@@ -11,11 +11,14 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "common/random.h"
+#include "core/query_optimizer.h"
 #include "core/query_planner.h"
+#include "core/scan_common.h"
 #include "core/sharded_vos_sketch.h"
 #include "core/similarity_index.h"
 #include "core/vos_estimator.h"
@@ -342,6 +345,100 @@ TEST(QueryPlannerTest, RefreshAfterRestoreMatchesFreshRebuild) {
   ExpectPairsIdentical(refreshed.AllPairsAbove(0.25),
                        rebuilt.AllPairsAbove(0.25), "pairs after restore");
   std::remove(path.c_str());
+}
+
+/// PlanAllPairs reports one PassReport per pass AllPairsAbove runs — the
+/// same-shard triangles with ≥ 2 rows in shard order, then the
+/// cross-shard rectangles with two non-empty sides in (s, t) order — and
+/// each stats.exact_pairs is a brute-force count of the pairs inside that
+/// pass's cardinality window (the full pair space with the prefilter off).
+TEST(QueryPlannerTest, PlanAllPairsReportsWindowPairsPerPass) {
+  const UserId users = 96;
+  const uint32_t shards = 4;
+  // Set sizes 20..140, so the τ cardinality window prunes real pairs.
+  std::vector<Element> elements;
+  for (UserId u = 0; u < users; ++u) {
+    for (uint32_t i = 0; i < 20 + 30 * (u % 5); ++i) {
+      elements.push_back(
+          {u, static_cast<ItemId>(u * 1000 + i), Action::kInsert});
+    }
+  }
+  ShardedVosSketch sketch(PlannerConfig(shards), users);
+  sketch.UpdateBatch(elements.data(), elements.size());
+
+  // Shard 0 keeps one candidate (no triangle, rectangles only), shard 3
+  // none (no passes at all), shards 1 and 2 all of theirs.
+  std::vector<UserId> candidates;
+  bool shard0_taken = false;
+  for (UserId u = 0; u < users; ++u) {
+    const uint32_t s = sketch.ShardOf(u);
+    if (s == 0 && !shard0_taken) {
+      candidates.push_back(u);
+      shard0_taken = true;
+    } else if (s == 1 || s == 2) {
+      candidates.push_back(u);
+    }
+  }
+  ASSERT_TRUE(shard0_taken);
+
+  const double tau = 0.4;
+  const double tau_frac = tau / (1.0 + tau);
+  const auto in_window = [&](uint32_t a, uint32_t b, bool prefilter) {
+    return !prefilter ||
+           !scan::CardinalityFail(std::min(a, b), static_cast<double>(a) + b,
+                                  tau_frac);
+  };
+
+  for (const bool prefilter : {true, false}) {
+    QueryOptions options;
+    options.prefilter = prefilter;
+    QueryPlanner planner(sketch, {}, options);
+    planner.Rebuild(candidates);
+    const auto cards = [&](uint32_t s) {
+      return planner.shard_index(s).row_cardinalities();
+    };
+    ASSERT_EQ(cards(0).size(), 1u);
+    ASSERT_TRUE(cards(3).empty());
+    ASSERT_GE(cards(1).size(), 2u);
+    ASSERT_GE(cards(2).size(), 2u);
+
+    struct Expected {
+      bool triangle;
+      uint32_t s, t;
+    };
+    const std::vector<Expected> expected = {
+        {true, 1, 1}, {true, 2, 2}, {false, 0, 1}, {false, 0, 2},
+        {false, 1, 2}};
+    const std::vector<optimizer::PassReport> reports =
+        planner.PlanAllPairs(tau);
+    ASSERT_EQ(reports.size(), expected.size()) << "prefilter=" << prefilter;
+
+    size_t total = 0;
+    for (size_t i = 0; i < expected.size(); ++i) {
+      const Expected& e = expected[i];
+      const optimizer::PassStats& stats = reports[i].stats;
+      const std::vector<uint32_t> a = cards(e.s);
+      const std::vector<uint32_t> b = cards(e.t);
+      size_t brute = 0;
+      for (size_t p = 0; p < a.size(); ++p) {
+        for (size_t q = e.triangle ? p + 1 : 0; q < b.size(); ++q) {
+          if (in_window(a[p], b[q], prefilter)) ++brute;
+        }
+      }
+      EXPECT_EQ(stats.triangle, e.triangle) << "pass " << i;
+      EXPECT_EQ(stats.rows_a, a.size()) << "pass " << i;
+      EXPECT_EQ(stats.rows_b, b.size()) << "pass " << i;
+      EXPECT_EQ(stats.exact_pairs, brute)
+          << "pass " << i << " prefilter=" << prefilter;
+      total += brute;
+    }
+    const size_t n = candidates.size();
+    if (prefilter) {
+      EXPECT_LT(total, n * (n - 1) / 2) << "the window must prune pairs";
+    } else {
+      EXPECT_EQ(total, n * (n - 1) / 2) << "passes partition the pair space";
+    }
+  }
 }
 
 TEST(QueryPlannerTest, EmptyAndDegenerateInputs) {
