@@ -34,7 +34,9 @@
 // Phase "index": SimilarityIndex::Rebuild (full re-extraction) vs.
 // RefreshDirty (patches the cells in the sketch's flip log and re-reads
 // the dirty users' cardinalities, then re-orders rows by block copy) at
-// dirty fractions {1%, 10%, 50%} of the candidate set. Every RefreshDirty
+// dirty fractions {1%, 10%, 50%} of the candidate set. The "owner-build"
+// row times the first refresh after an incremental Rebuild on its own:
+// it builds the owner index the later refreshes patch through. Every RefreshDirty
 // result is VOS_CHECKed bit-identical to a full Rebuild on the same
 // sketch state — rows, row order and β — before its timing counts.
 // Expected: ≥5× at ≤10% dirty; the refresh cost tracks the flips since
@@ -518,7 +520,6 @@ int main(int argc, char** argv) {
   // plain Rebuild — this bench is what the break-even is calibrated ON.
   incremental_options.refresh_fallback_fraction = 2.0;
   SimilarityIndex incremental_index(sketch, {}, incremental_options);
-  incremental_index.Rebuild(candidates);
 
   QueryOptions plain_options;
   plain_options.num_threads = 1;
@@ -529,6 +530,23 @@ int main(int argc, char** argv) {
   });
   emit("index", "rebuild", 1, 1, 1, full_rebuild_seconds,
        candidates.size() / full_rebuild_seconds, "rows/s", 1.0);
+
+  // The first refresh after a Rebuild builds the owner index (its cost
+  // moved there from Rebuild); time it on its own, so the refresh-* rows
+  // below measure patching alone even at --repeats=1.
+  double owner_build_seconds = 0.0;
+  for (int r = 0; r < repeats; ++r) {
+    incremental_index.Rebuild(candidates);
+    WallTimer timer;
+    const bool patched = incremental_index.RefreshDirty();
+    const double elapsed = timer.ElapsedSeconds();
+    VOS_CHECK(patched) << "an unchanged sketch fell back to Rebuild";
+    if (r == 0 || elapsed < owner_build_seconds) owner_build_seconds = elapsed;
+  }
+  emit("index", "owner-build", 1, 1, 1, owner_build_seconds,
+       candidates.size() / owner_build_seconds, "rows/s",
+       full_rebuild_seconds / owner_build_seconds);
+  CheckIndexesIdentical(incremental_index, full_index);
 
   ItemId next_item = static_cast<ItemId>(elements.size()) + 1000;
   double speedup_at_10pct = 0.0;

@@ -119,12 +119,10 @@ uint64_t ScalarCellOf(uint64_t user, uint64_t seed, uint64_t m) {
 }
 
 void ScalarExtractBits(const uint64_t* array_words, const uint64_t* seeds,
-                       uint32_t k, uint64_t user, uint64_t m, uint64_t* dst,
-                       uint32_t* cells) {
+                       uint32_t k, uint64_t user, uint64_t m, uint64_t* dst) {
   uint64_t word = 0;
   for (uint32_t j = 0; j < k; ++j) {
     const uint64_t cell = hash::ReduceToRange(hash::Hash64(user, seeds[j]), m);
-    if (cells != nullptr) cells[j] = static_cast<uint32_t>(cell);
     word |= ((array_words[cell >> 6] >> (cell & 63)) & 1) << (j & 63);
     if ((j & 63) == 63) {
       *dst++ = word;

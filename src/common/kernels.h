@@ -14,7 +14,7 @@
 // tuning opt-in).
 //
 // Contract: every kernel at every dispatch level is BIT-IDENTICAL to the
-// scalar reference — same popcounts, same extracted cells/bits, same
+// scalar reference — same popcounts, same extracted bits, same
 // shard ids and locals — for every input, including
 // unaligned row bases, odd strides and 0..7-word tails
 // (tests/kernel_dispatch_test.cc sweeps all available levels against
@@ -81,12 +81,9 @@ struct KernelTable {
   /// Digest extraction (DigestMatrix::ExtractRowFromArray's hot loop):
   /// for j in [0, k), cell_j = ReduceToRange(Hash64(user, seeds[j]), m);
   /// bit j of dst = array_words[cell_j >> 6] >> (cell_j & 63) & 1. dst
-  /// holds ceil(k/64) words; pad bits are zeroed. When `cells` is
-  /// non-null it receives cell_0..cell_{k-1} as uint32 (callers must
-  /// ensure m <= 2^32 in that case; m itself may be up to 2^48).
+  /// holds ceil(k/64) words; pad bits are zeroed. m may be up to 2^48.
   void (*extract_bits)(const uint64_t* array_words, const uint64_t* seeds,
-                       uint32_t k, uint64_t user, uint64_t m, uint64_t* dst,
-                       uint32_t* cells);
+                       uint32_t k, uint64_t user, uint64_t m, uint64_t* dst);
 
   /// Producer-side routing (ShardRouter::ShardOf over a batch):
   /// shards[i] = ReduceToRange(Mix64(users[i] ^ seed_mix), num_shards)

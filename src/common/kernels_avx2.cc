@@ -235,8 +235,7 @@ inline __m256i Mix64V2Lanes(__m256i x) {
 // --------------------------------------------------------------- extraction
 
 void Avx2ExtractBits(const uint64_t* array_words, const uint64_t* seeds,
-                     uint32_t k, uint64_t user, uint64_t m, uint64_t* dst,
-                     uint32_t* cells) {
+                     uint32_t k, uint64_t user, uint64_t m, uint64_t* dst) {
   const __m256i user_vec = _mm256_set1_epi64x(static_cast<long long>(user));
   const __m256i golden = _mm256_set1_epi64x(static_cast<long long>(kGolden));
   const __m256i m_vec = _mm256_set1_epi64x(static_cast<long long>(m));
@@ -251,13 +250,6 @@ void Avx2ExtractBits(const uint64_t* array_words, const uint64_t* seeds,
     h = Mix64V2Lanes(_mm256_add_epi64(Mix64Lanes(h), seed_vec));
     // hash::ReduceToRange: cell = (h·m) >> 64.
     const __m256i cell = MulHi64(h, m_vec);
-    if (cells != nullptr) {
-      alignas(32) uint64_t cell_lanes[4];
-      _mm256_store_si256(reinterpret_cast<__m256i*>(cell_lanes), cell);
-      for (int t = 0; t < 4; ++t) {
-        cells[j + t] = static_cast<uint32_t>(cell_lanes[t]);
-      }
-    }
     const __m256i gathered = _mm256_i64gather_epi64(
         reinterpret_cast<const long long*>(array_words),
         _mm256_srli_epi64(cell, 6), 8);
@@ -276,7 +268,6 @@ void Avx2ExtractBits(const uint64_t* array_words, const uint64_t* seeds,
   }
   for (; j < k; ++j) {
     const uint64_t cell = ScalarCellOf(user, seeds[j], m);
-    if (cells != nullptr) cells[j] = static_cast<uint32_t>(cell);
     word |= ((array_words[cell >> 6] >> (cell & 63)) & 1) << (j & 63);
     if ((j & 63) == 63) {
       *dst++ = word;

@@ -181,8 +181,7 @@ inline __m512i Mix64V2Lanes(__m512i x) {
 // --------------------------------------------------------------- extraction
 
 void Avx512ExtractBits(const uint64_t* array_words, const uint64_t* seeds,
-                       uint32_t k, uint64_t user, uint64_t m, uint64_t* dst,
-                       uint32_t* cells) {
+                       uint32_t k, uint64_t user, uint64_t m, uint64_t* dst) {
   const __m512i user_vec = _mm512_set1_epi64(static_cast<long long>(user));
   const __m512i golden = _mm512_set1_epi64(static_cast<long long>(kGolden));
   const __m512i m_vec = _mm512_set1_epi64(static_cast<long long>(m));
@@ -196,10 +195,6 @@ void Avx512ExtractBits(const uint64_t* array_words, const uint64_t* seeds,
                                  _mm512_mullo_epi64(seed_vec, golden));
     h = Mix64V2Lanes(_mm512_add_epi64(Mix64Lanes(h), seed_vec));
     const __m512i cell = MulHi64(h, m_vec);
-    if (cells != nullptr) {
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(cells + j),
-                          _mm512_cvtepi64_epi32(cell));
-    }
     const __m512i gathered =
         _mm512_i64gather_epi64(_mm512_srli_epi64(cell, 6), array_words, 8);
     // Lane t's digest bit, tested straight into a mask register: bit t
@@ -214,7 +209,6 @@ void Avx512ExtractBits(const uint64_t* array_words, const uint64_t* seeds,
   }
   for (; j < k; ++j) {
     const uint64_t cell = ScalarCellOf(user, seeds[j], m);
-    if (cells != nullptr) cells[j] = static_cast<uint32_t>(cell);
     word |= ((array_words[cell >> 6] >> (cell & 63)) & 1) << (j & 63);
     if ((j & 63) == 63) {
       *dst++ = word;

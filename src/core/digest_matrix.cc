@@ -19,19 +19,17 @@ unsigned ResolveThreadCount(unsigned requested, size_t work_items) {
 
 void DigestMatrix::ExtractRowFromArray(const BitVector& array,
                                        const VosSketch& sketch, UserId user,
-                                       uint64_t* dst, uint32_t* cells) {
+                                       uint64_t* dst) {
   VOS_DCHECK(array.size() == sketch.config().m)
       << "array/geometry size mismatch";
   const std::vector<uint64_t>& seeds = sketch.f_seed_table();
   const uint64_t m = sketch.config().m;
   const uint32_t k = sketch.config().k;
-  VOS_DCHECK(cells == nullptr || m <= uint64_t{0xffffffff})
-      << "cell capture stores cells as uint32; m too large";
   // The per-j hash/gather/pack loop is the extraction kernel —
   // runtime-dispatched (4- or 8-lane hashing on AVX2/AVX-512),
   // bit-identical to scalar at every level.
   kernels::Active().extract_bits(array.words().data(), seeds.data(), k, user,
-                                 m, dst, cells);
+                                 m, dst);
 }
 
 void DigestMatrix::ExtractRow(const VosSketch& sketch, UserId user,

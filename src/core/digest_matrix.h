@@ -35,8 +35,8 @@ class DigestMatrix {
   DigestMatrix() = default;
 
   /// An all-zero matrix with `rows` k-bit rows; callers fill rows in
-  /// place via MutableRow (the incremental index extracts rows at Rebuild
-  /// and copies and bit-patches them at refresh).
+  /// place via MutableRow (the incremental index's refresh copies rows
+  /// into one and bit-patches them).
   DigestMatrix(uint32_t k, size_t rows)
       : k_(k),
         num_rows_(rows),
@@ -64,14 +64,10 @@ class DigestMatrix {
   /// the same bits as sketch.ExtractUserSketch(user); pad bits are zeroed.
   static void ExtractRow(const VosSketch& sketch, UserId user, uint64_t* dst);
 
-  /// ExtractRow against an alternate `array` (see BuildFromArray). When
-  /// `cells` is non-null it additionally records the k cell indices
-  /// f_j(user) into cells[0..k) — the incremental index captures them at
-  /// Rebuild to find which rows' bits a changed cell flips (cells depend
-  /// only on the user, never on the array).
+  /// ExtractRow against an alternate `array` (see BuildFromArray).
   static void ExtractRowFromArray(const BitVector& array,
                                   const VosSketch& sketch, UserId user,
-                                  uint64_t* dst, uint32_t* cells = nullptr);
+                                  uint64_t* dst);
 
   /// Words needed for one k-bit row.
   static size_t WordsPerRow(uint32_t k) {

@@ -68,68 +68,67 @@ void SimilarityIndex::Rebuild(std::vector<UserId> candidates) {
     // emplace keeps the first occurrence of a repeated user.
     candidate_of_.emplace(candidates_[i], static_cast<uint32_t>(i));
   }
-  const uint32_t k = sketch_->config().k;
+  std::vector<UserId> ordered_users(n);
+  for (size_t p = 0; p < n; ++p) {
+    ordered_users[p] = candidates_[sorted_rows_[p]];
+  }
+  matrix_ =
+      DigestMatrix::Build(*sketch_, ordered_users, query_options_.num_threads);
+  // A Rebuild may change the candidate set, so it drops the owner index;
+  // the first RefreshDirty that patches builds it again.
+  bucket_offsets_.clear();
+  bucket_entries_.clear();
+  bucket_bits_.clear();
+  snapshot_taken_ = query_options_.incremental;
   if (!query_options_.incremental) {
-    std::vector<UserId> ordered_users(n);
-    for (size_t p = 0; p < n; ++p) {
-      ordered_users[p] = candidates_[sorted_rows_[p]];
-    }
-    matrix_ = DigestMatrix::Build(*sketch_, ordered_users,
-                                  query_options_.num_threads);
     spare_.Clear();
-    cells_.clear();
-    cells_.shrink_to_fit();
-    bucket_offsets_.clear();
-    bucket_entries_.clear();
   } else {
-    // Incremental snapshot: extract as usual but capture every row's
-    // cells (keyed by stable candidate index, not by sorted position —
-    // the sorted order changes across refreshes, the cells never do).
-    const uint64_t m = sketch_->config().m;
     VOS_CHECK(sketch_->tracks_dirty())
         << "incremental index needs a sketch with VosConfig::track_dirty";
-    VOS_CHECK(m <= uint64_t{0xffffffff})
-        << "incremental index stores cells as uint32; m too large";
-    VOS_CHECK(n * static_cast<size_t>(k) <= uint64_t{0xffffffff})
+    VOS_CHECK(sketch_->config().m <= uint64_t{0xffffffff})
+        << "the flip log stores cells as uint32; m too large";
+    VOS_CHECK(n * sketch_->config().k <= uint64_t{0xffffffff})
         << "incremental index entries are uint32; candidates*k too large";
-    cells_.resize(n * static_cast<size_t>(k));
-    matrix_ = DigestMatrix(k, n);
-    const size_t block = 64;
-    const size_t num_blocks = (n + block - 1) / block;
-    const unsigned threads =
-        ResolveThreadCount(query_options_.num_threads, num_blocks);
-    RunBlocks(threads, num_blocks, [&](size_t b) {
-      const size_t end = std::min(n, (b + 1) * block);
-      for (size_t p = b * block; p < end; ++p) {
-        const uint32_t i = sorted_rows_[p];
-        DigestMatrix::ExtractRowFromArray(
-            sketch_->array(), *sketch_, candidates_[i], matrix_.MutableRow(p),
-            cells_.data() + static_cast<size_t>(i) * k);
-      }
-    });
-    // Counting-sorted inverse index, bucketed by cell *word*: a changed
-    // cell's owners are among the entries of its word's bucket, each
-    // entry the cells_ index i·k + j of one (candidate, virtual bit) — so
-    // the refresh matches cells_[entry] against the exact changed cell
-    // and knows which bit of which row to patch.
-    const size_t num_words = (m + 63) / 64;
-    bucket_offsets_.assign(num_words + 1, 0);
-    for (uint32_t cell : cells_) ++bucket_offsets_[(cell >> 6) + 1];
-    for (size_t w = 0; w < num_words; ++w) {
-      bucket_offsets_[w + 1] += bucket_offsets_[w];
-    }
-    bucket_entries_.resize(cells_.size());
-    std::vector<uint32_t> cursor(bucket_offsets_.begin(),
-                                 bucket_offsets_.end() - 1);
-    for (size_t e = 0; e < cells_.size(); ++e) {
-      bucket_entries_[cursor[cells_[e] >> 6]++] = static_cast<uint32_t>(e);
-    }
     sketch_->ClearDirtyUsers();
     flip_log_generation_ = sketch_->flip_log_generation();
   }
   beta_ = sketch_->beta();
   log_beta_term_ = estimator_.LogBetaTerm(beta_);
   last_refresh_dirty_fraction_ = 1.0;
+}
+
+void SimilarityIndex::BuildOwners() {
+  // Counting sort over cell words. Cells depend only on the user, never on
+  // the array, so they are hashed afresh — once to count each word's
+  // owners, once to place them — instead of being kept in an n·k buffer
+  // next to the entries. Counts land in bucket_offsets_[w], the prefix sum
+  // turns each into its bucket's end, and placing decrements it to the
+  // bucket's start.
+  const size_t n = candidates_.size();
+  const uint32_t k = sketch_->config().k;
+  const size_t num_words = (sketch_->config().m + 63) / 64;
+  bucket_offsets_.assign(num_words + 1, 0);
+  for (size_t i = 0; i < n; ++i) {
+    for (uint32_t j = 0; j < k; ++j) {
+      ++bucket_offsets_[sketch_->CellOf(candidates_[i], j) >> 6];
+    }
+  }
+  uint32_t total = 0;
+  for (uint32_t& offset : bucket_offsets_) {
+    total += offset;
+    offset = total;
+  }
+  bucket_entries_.resize(total);
+  bucket_bits_.resize(total);
+  for (size_t i = 0; i < n; ++i) {
+    const uint32_t row = static_cast<uint32_t>(i) * k;
+    for (uint32_t j = 0; j < k; ++j) {
+      const uint64_t cell = sketch_->CellOf(candidates_[i], j);
+      const uint32_t slot = --bucket_offsets_[cell >> 6];
+      bucket_entries_[slot] = row + j;
+      bucket_bits_[slot] = static_cast<uint8_t>(cell & 63);
+    }
+  }
 }
 
 bool SimilarityIndex::RefreshDirty() {
@@ -146,6 +145,7 @@ bool SimilarityIndex::RefreshDirty() {
     Rebuild(std::move(candidates_));
     return false;
   }
+  if (bucket_offsets_.empty()) BuildOwners();
   const size_t n = candidates_.size();
   const uint32_t k = sketch_->config().k;
 
@@ -154,7 +154,7 @@ bool SimilarityIndex::RefreshDirty() {
   // change, including shared-cell flips from other users' updates). A
   // cell flipped an even number of times is unchanged, so the sorted log
   // is cancelled by parity first; every surviving cell's owners are the
-  // bucket entries of its word that record exactly that cell.
+  // slots of its word's bucket that record its bit offset.
   std::vector<uint8_t> affected(n, 0);
   if (!sketch_->dirty_users().empty()) {
     for (size_t i = 0; i < n; ++i) {
@@ -163,17 +163,17 @@ bool SimilarityIndex::RefreshDirty() {
   }
   std::vector<uint32_t> flips = sketch_->flip_log();
   std::sort(flips.begin(), flips.end());
-  std::vector<uint32_t> patches;  // cells_ indices i·k + j whose bit flips
+  std::vector<uint32_t> patches;  // entries i·k + j whose bit flips
   for (size_t a = 0; a < flips.size();) {
     const uint32_t cell = flips[a];
     size_t b = a + 1;
     while (b < flips.size() && flips[b] == cell) ++b;
     if ((b - a) % 2 == 1) {
       const uint32_t w = cell >> 6;
-      for (uint32_t idx = bucket_offsets_[w]; idx < bucket_offsets_[w + 1];
-           ++idx) {
-        const uint32_t entry = bucket_entries_[idx];
-        if (cells_[entry] == cell) {
+      const uint8_t bit = static_cast<uint8_t>(cell & 63);
+      for (uint32_t s = bucket_offsets_[w]; s < bucket_offsets_[w + 1]; ++s) {
+        if (bucket_bits_[s] == bit) {
+          const uint32_t entry = bucket_entries_[s];
           affected[entry / k] = 1;
           patches.push_back(entry);
         }
@@ -219,7 +219,7 @@ bool SimilarityIndex::RefreshDirty() {
 
   // Rows move into the new order in the spare matrix (one memcpy each),
   // then every changed cell's bit is flipped in place: a row's bit j is
-  // A[cells_[i·k + j]], so XOR-ing the changed cells reproduces a fresh
+  // A[f_j(candidates[i])], so XOR-ing the changed cells reproduces a fresh
   // extraction exactly.
   if (row_of_orig_ != old_row_of_orig) {
     if (spare_.rows() != n || spare_.k() != k) spare_ = DigestMatrix(k, n);

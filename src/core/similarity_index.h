@@ -100,12 +100,14 @@ struct QueryOptions {
   /// AllPairsAbove. Only applied when the estimator clamps to the
   /// feasible range (the default); results are identical either way.
   bool prefilter = true;
-  /// Retain incremental-maintenance state at Rebuild so RefreshDirty()
-  /// can run: every candidate row's k cell indices and a cell-word →
-  /// (candidate, bit) inverse index (≈ 8 bytes per candidate-bit — e.g.
-  /// 2,000 candidates × k=6400 ≈ 100 MiB, plus m/16 bytes of bucket
-  /// offsets), and a spare digest matrix the refresh reorders into.
-  /// Costs one extra pass at Rebuild; leave off for rebuild-only indexes.
+  /// Retain incremental-maintenance state so RefreshDirty() can run: a
+  /// spare digest matrix the refresh reorders into, and a cell-word →
+  /// (candidate, bit) owner index of 5 bytes per candidate-bit (e.g.
+  /// 2,000 candidates × k=6400 ≈ 61 MiB, plus m/16 bytes of bucket
+  /// offsets). The owner index is built by the first RefreshDirty after
+  /// each Rebuild that can patch from the flip log, so a snapshot that is
+  /// only ever rebuilt never pays for it. Leave off for rebuild-only
+  /// indexes.
   bool incremental = false;
   /// Adaptive refresh: RefreshDirty() falls back to a full Rebuild() when
   /// more than this fraction of the candidates is affected. Patching stays
@@ -135,16 +137,16 @@ class SimilarityIndex {
 
   /// Snapshots digests, cardinalities and β for `candidates` (extraction
   /// runs on QueryOptions::num_threads workers). With
-  /// QueryOptions::incremental it additionally captures the refresh
-  /// state (snapshot array, per-row cells, inverse index) and consumes
-  /// the sketch's dirty set.
+  /// QueryOptions::incremental it additionally consumes the sketch's
+  /// dirty set and flip log and drops the owner index, which the next
+  /// RefreshDirty rebuilds on first use.
   void Rebuild(std::vector<UserId> candidates);
 
   /// Incrementally re-snapshots the SAME candidate set by patching only
   /// what changed since the last Rebuild()/RefreshDirty(), read from the
   /// sketch's flip log and dirty set (VosSketch's dirty-tracking
   /// contract): every cell flipped an odd number of times flips bit j of
-  /// each candidate row i with cells_[i·k + j] == cell (covers every
+  /// each candidate row i with f_j(candidates[i]) == cell (covers every
   /// digest change, including shared-cell contamination flips caused by
   /// OTHER users' updates), and users in the dirty set get their
   /// cardinality re-read (covers every cardinality change). Rows move
@@ -156,10 +158,13 @@ class SimilarityIndex {
   /// QueryOptions::incremental and a prior Rebuild(); consumes the
   /// sketch's dirty set and flip log.
   ///
-  /// Cost: O(L log L) for L logged flips + O(n·k/m) bucket probes per
+  /// Cost: O(L log L) for L logged flips + one scan of the changed cell's
+  /// word bucket (expected n·k/(m/64) entries, matched by bit offset) per
   /// changed cell + one row-copy pass (skipped when the order is
   /// unchanged), vs. Rebuild's O(k) hashes per candidate. Nothing scales
-  /// with m or re-reads whole rows.
+  /// with m or re-reads whole rows. The first call after a Rebuild that
+  /// gets past the log check also builds the owner index: 2·n·k hashes
+  /// and n·k bucket stores, paid once per Rebuild.
   ///
   /// Fallbacks to a full Rebuild() of the same candidates (bit-identical
   /// result) happen when the log cannot describe the change — it
@@ -173,10 +178,10 @@ class SimilarityIndex {
   /// false when it fell back.
   bool RefreshDirty();
 
-  /// True once Rebuild() has captured incremental state (i.e.
+  /// True once an incremental Rebuild() has taken a snapshot (i.e.
   /// RefreshDirty() may be called).
   bool CanRefresh() const {
-    return query_options_.incremental && !bucket_offsets_.empty();
+    return query_options_.incremental && snapshot_taken_;
   }
 
   /// The `k` candidates most similar to `query` (by Ĵ, descending;
@@ -271,6 +276,9 @@ class SimilarityIndex {
   /// Row index of `user` among the candidates, or npos.
   size_t RowOf(UserId user) const;
 
+  /// Builds the owner index (bucket_*_) for the current candidates.
+  void BuildOwners();
+
   static constexpr size_t kNpos = npos;
 
   const VosSketch* sketch_;
@@ -302,23 +310,23 @@ class SimilarityIndex {
   /// Affected fraction of the last snapshot (1.0 for a full Rebuild).
   double last_refresh_dirty_fraction_ = 1.0;
   // --- Incremental-maintenance state (QueryOptions::incremental) -------
+  /// Set by an incremental Rebuild: RefreshDirty may run.
+  bool snapshot_taken_ = false;
   /// The sketch's flip-log generation right after this index's last
   /// clear; RefreshDirty patches from the log only while it still matches.
   uint64_t flip_log_generation_ = 0;
   /// Reused target of RefreshDirty's reorder copy (swapped with matrix_).
   DigestMatrix spare_;
-  /// cells_[i·k + j] = f_j(candidates_[i]) — captured once at Rebuild
-  /// (cells depend only on the user, never on the array, so refreshes
-  /// re-read rows without hashing).
-  std::vector<uint32_t> cells_;
-  /// Counting-sorted inverse index over cell words: the (candidate, bit)
-  /// pairs owning a cell in array word w are bucket_entries_[
-  /// bucket_offsets_[w] .. bucket_offsets_[w+1]), each entry the cells_
-  /// index i·k + j; cells_[entry] == cell picks the exact owners of a
-  /// changed cell (expected n·k/m per cell), not every row sharing the
-  /// 64-bit word.
+  /// Counting-sorted owner index over cell words, empty until
+  /// BuildOwners: the (candidate, bit) pairs whose cell f_j(candidate)
+  /// lies in array word w are slots bucket_offsets_[w] ..
+  /// bucket_offsets_[w+1]; slot s holds the entry i·k + j in
+  /// bucket_entries_[s] and the cell's bit within the word in
+  /// bucket_bits_[s], so a changed cell's exact owners (expected n·k/m)
+  /// are found by scanning its own bucket alone.
   std::vector<uint32_t> bucket_offsets_;
   std::vector<uint32_t> bucket_entries_;
+  std::vector<uint8_t> bucket_bits_;
 };
 
 }  // namespace vos::core

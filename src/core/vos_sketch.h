@@ -203,7 +203,7 @@ class VosSketch {
   //    kept (a cell flipped twice is unchanged; consumers cancel by
   //    parity). Because cells are shared, a flip for user v can change a
   //    clean user u's reconstructed digest; the log names the cell, and
-  //    the consumer's inverse index names its owners.
+  //    the consumer's owner index names its owners.
   //
   // The log holds at most flip_log_capacity() = max(1024, m/64) cells (a
   // fixed cap, not a knob); past it the log is overflowed and a consumer

@@ -271,6 +271,73 @@ TEST(RefreshDirtyTest, RequiresIncrementalOptionAndPriorRebuild) {
   EXPECT_FALSE(plain.CanRefresh());  // incremental off
 }
 
+/// A non-candidate flips a cell that shares a 64-bit array word with
+/// candidates' cells but is none of them: the owner index must match the
+/// cell's bit offset, not just its word, so no candidate row changes.
+TEST(RefreshDirtyTest, OwnersSharingAWordPatchOnlyTheFlippedCell) {
+  const VosConfig config = SmallConfig(1 << 16);
+  VosSketch sketch = PopulatedSketch(config, 20, 30, 61);
+  std::vector<UserId> candidates;
+  for (UserId u = 0; u < 5; ++u) candidates.push_back(u);
+  std::vector<uint64_t> owned;
+  for (const UserId u : candidates) {
+    for (uint32_t j = 0; j < config.k; ++j) owned.push_back(sketch.CellOf(u, j));
+  }
+  const auto owns = [&](uint64_t cell) {
+    return std::find(owned.begin(), owned.end(), cell) != owned.end();
+  };
+  const auto shares_word = [&](uint64_t cell) {
+    return std::any_of(owned.begin(), owned.end(), [&](uint64_t c) {
+      return c >> 6 == cell >> 6;
+    });
+  };
+  const UserId background = 19;
+  ItemId item = 1 << 29;
+  while (true) {
+    const uint64_t cell = sketch.CellOf(background, sketch.BucketOf(item));
+    if (shares_word(cell) && !owns(cell)) break;
+    ++item;
+  }
+
+  QueryOptions options;
+  options.num_threads = 1;
+  options.incremental = true;
+  SimilarityIndex refreshed(sketch, {}, options);
+  refreshed.Rebuild(candidates);
+  const DigestMatrix before = refreshed.matrix();
+
+  sketch.Update({background, item, Action::kInsert});
+  ASSERT_EQ(sketch.flip_log().size(), 1u);
+  EXPECT_TRUE(refreshed.RefreshDirty());
+  EXPECT_EQ(refreshed.last_refresh_dirty_fraction(), 0.0);
+  for (size_t p = 0; p < before.rows(); ++p) {
+    ASSERT_EQ(std::memcmp(before.Row(p), refreshed.matrix().Row(p),
+                          before.words_per_row() * sizeof(uint64_t)),
+              0)
+        << "row " << p;
+  }
+  SimilarityIndex rebuilt(sketch, {}, QueryOptions{});
+  rebuilt.Rebuild(candidates);
+  ExpectIndexesIdentical(refreshed, rebuilt, "word-sharing flip");
+}
+
+/// An incremental snapshot of no candidates is still a snapshot: it can
+/// be refreshed, before and after the sketch changes.
+TEST(RefreshDirtyTest, EmptyCandidateSetRefreshes) {
+  VosSketch sketch = PopulatedSketch(SmallConfig(), 10, 10, 67);
+  QueryOptions options;
+  options.num_threads = 1;
+  options.incremental = true;
+  SimilarityIndex index(sketch, {}, options);
+  index.Rebuild({});
+  EXPECT_TRUE(index.CanRefresh());
+  EXPECT_TRUE(index.RefreshDirty());
+  sketch.Update({3, 1 << 29, Action::kInsert});
+  EXPECT_TRUE(index.RefreshDirty());
+  EXPECT_EQ(index.candidate_count(), 0u);
+  EXPECT_EQ(index.matrix().rows(), 0u);
+}
+
 // ------------------------------------------------------------- flip log
 
 /// Bit-level equality of two sketches, including the bookkeeping an
