@@ -1,26 +1,24 @@
-// Micro-benchmark (M3) for the batch query engine: digest-extraction
-// throughput (users/s) and all-pairs estimate throughput (pairs/s),
-// scalar seed path vs. the DigestMatrix batch engine.
+// Micro-benchmark (M3) for the query engine (core/query_planner.h):
+// digest-extraction throughput (users/s) and all-pairs estimate
+// throughput (pairs/s), scalar reference vs. the tiled batch scan.
 //
-// The scalar baseline is the seed implementation kept verbatim as
-// SimilarityIndex::AllPairsAboveReference — per-user heap BitVector
-// digests, one Hamming-distance call and one closed-form (log) estimator
+// The scalar baseline is QueryPlanner::AllPairsAboveReference — one live
+// digest per candidate, one popcount and one closed-form (log) estimator
 // evaluation per pair, single-threaded. The batch engine packs all
 // digests into one contiguous DigestMatrix (thread-parallel extraction
 // over the cached f-seed table), runs word-wise XOR+popcount row kernels,
-// replaces per-pair logs with a Rebuild-time log table, prefilters on the
-// Hamming bound, and partitions the pair loop across threads. Results are
-// verified bit-identical before any timing is reported.
+// replaces per-pair logs with a log table, prefilters on the Hamming
+// bound, and tiles the pair loop across threads. The "all_pairs" rows
+// time it over a plain VosSketch (S = 1). Results are verified
+// bit-identical before any timing is reported.
 //
-// The "planner" phase measures the shard-aware query tier
-// (core/query_planner.h): AllPairsAbove planned as same-shard passes plus
-// cross-shard blocks, scattered over --planner_threads task workers, at
-// S ∈ {1, 4, 8} shards. The S=1 planner IS the single global index
-// scanned by one task — the baseline the shard-scaling speedup column is
-// measured against. Every planner result is verified bit-identical across
-// planner thread counts, and (for --users ≤ 600) identical to the
-// per-pair ShardedVosSketch::EstimatePair reference, before timing is
-// reported.
+// The "planner_all_pairs" phase measures the same engine over a
+// ShardedVosSketch at S ∈ {4, 8} shards: AllPairsAbove planned as
+// same-shard passes plus cross-shard blocks, on --threads workers. Its
+// speedup column divides the S = 1 "all_pairs" batch time at --threads
+// by the S-shard time. Every planner result is verified bit-identical
+// across thread counts and to the planner's per-pair reference before
+// timing is reported.
 //
 // The "kernel_hamming" / "kernel_extract" phases are the dispatch tier's
 // acceptance signal (common/kernels.h): the 1×8 blocked XOR+popcount and
@@ -38,7 +36,7 @@
 // unit now, so the same workload must show multi-thread scaling.
 //
 // Run: ./build/micro_query_path [--users=2000] [--k=6400] [--threads=8]
-//      [--tau=0.5] [--repeats=3] [--planner_threads=0] [--tile_rows=0]
+//      [--tau=0.5] [--repeats=3] [--tile_rows=0]
 //      [--dispatch=auto|scalar|neon|avx2|avx512] [--csv=out.csv]
 
 #include <algorithm>
@@ -52,7 +50,6 @@
 #include "common/timer.h"
 #include "core/query_planner.h"
 #include "core/sharded_vos_sketch.h"
-#include "core/similarity_index.h"
 #include "core/vos_sketch.h"
 
 namespace vos::bench {
@@ -63,7 +60,6 @@ using core::QueryOptions;
 using core::QueryPlanner;
 using core::ShardedVosConfig;
 using core::ShardedVosSketch;
-using core::SimilarityIndex;
 using core::VosConfig;
 using core::VosSketch;
 using stream::Action;
@@ -130,7 +126,7 @@ int main(int argc, char** argv) {
       argc, argv,
       "[--users=N] [--edges_per_user=N] [--k=N] [--m=N] [--threads=N] "
       "[--tau=J] [--repeats=N] [--seed=N] [--dist=zipf|uniform] "
-      "[--planner_threads=N] [--planner_shards=N] [--tile_rows=N] "
+      "[--planner_shards=N] [--tile_rows=N] "
       "[--dispatch=auto|scalar|neon|avx2|avx512] [--csv=path] "
       "[--json=path]");
   const auto users = static_cast<UserId>(flags.GetInt("users", 2000));
@@ -164,7 +160,7 @@ int main(int argc, char** argv) {
     kernel_tag = kernels::LevelName(forced);
   }
 
-  PrintBanner("micro_query_path — scalar seed path vs. batch query engine",
+  PrintBanner("micro_query_path — scalar reference vs. batch query engine",
               flags);
   std::printf("kernel dispatch: %s (requested %s)\n",
               kernels::Active().name, dispatch.c_str());
@@ -325,29 +321,32 @@ int main(int argc, char** argv) {
   QueryOptions query_options;
   query_options.num_threads = threads;
   query_options.tile_rows = tile_rows;
-  SimilarityIndex index(sketch, {}, query_options);
+  QueryPlanner index(sketch, {}, query_options);
   index.Rebuild(candidates);
 
+  // Bit-identity of a planner's result against a reference pair list;
+  // aborts on the first difference.
+  const auto check_pairs = [](const std::vector<QueryPlanner::Pair>& got,
+                              const std::vector<QueryPlanner::Pair>& want,
+                              const std::string& what) {
+    VOS_CHECK(got.size() == want.size()) << what << ": pair count differs";
+    for (size_t i = 0; i < got.size(); ++i) {
+      VOS_CHECK(got[i].u == want[i].u && got[i].v == want[i].v &&
+                got[i].common == want[i].common &&
+                got[i].jaccard == want[i].jaccard)
+          << what << ": pair" << i << "differs";
+    }
+  };
   const auto reference = index.AllPairsAboveReference(tau);
   const auto timed_batch = [&](unsigned t) {
-    QueryOptions options = query_options;
-    options.num_threads = t;
-    index.set_query_options(options);
+    index.set_num_threads(t);
     (void)index.AllPairsAbove(tau);  // warm caches (evicted by the
                                      // scalar pass's digest copies)
     WallTimer timer;
     const auto result = index.AllPairsAbove(tau);
     const double elapsed = timer.ElapsedSeconds();
     // Verify bit-identical results on every round, not just once.
-    VOS_CHECK(result.size() == reference.size())
-        << "batch engine disagrees with the scalar reference";
-    for (size_t i = 0; i < result.size(); ++i) {
-      VOS_CHECK(result[i].u == reference[i].u &&
-                result[i].v == reference[i].v &&
-                result[i].common == reference[i].common &&
-                result[i].jaccard == reference[i].jaccard)
-          << "pair " << i << " differs from the scalar reference";
-    }
+    check_pairs(result, reference, "batch vs scalar reference");
     return elapsed;
   };
 
@@ -377,13 +376,9 @@ int main(int argc, char** argv) {
   }
 
   // ------------------------------------------------------ sharded planner
-  // Shard-scaling of the query tier: AllPairsAbove through QueryPlanner
-  // at S ∈ {1, 4, 8}. The planner parallelizes across tasks (same-shard
-  // passes + cross-shard row blocks); at S=1 there is exactly one task —
-  // the single global index scanned single-threaded — which is the
-  // baseline the speedup column divides by.
-  const auto planner_threads =
-      static_cast<unsigned>(flags.GetInt("planner_threads", 0));
+  // Shard-scaling of the same engine: AllPairsAbove over S ∈ {4, 8}
+  // shards, parallel across tasks (same-shard passes + cross-shard
+  // tiles). The S = 1 baseline is the all_pairs batch row at --threads.
   const auto max_planner_shards =
       static_cast<uint32_t>(flags.GetInt("planner_shards", 8));
   const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
@@ -392,10 +387,9 @@ int main(int argc, char** argv) {
                 "degenerates to the cross-shard kernel overhead; run on a "
                 "multi-core host for the scaling measurement)\n");
   }
-  double planner_base_seconds = 0.0;
   double planner_last_speedup = 1.0;
   uint32_t planner_last_shards = 1;
-  for (const uint32_t shards : {1u, 4u, 8u}) {
+  for (const uint32_t shards : {4u, 8u}) {
     if (shards > max_planner_shards) break;
     ShardedVosConfig sharded;
     sharded.base = config;
@@ -403,53 +397,28 @@ int main(int argc, char** argv) {
     ShardedVosSketch sharded_sketch(sharded, users);
     sharded_sketch.UpdateBatch(elements.data(), elements.size());
 
-    QueryOptions planner_options;
-    planner_options.num_threads = planner_threads;
-    planner_options.tile_rows = tile_rows;
-    QueryPlanner planner(sharded_sketch, {}, planner_options);
+    QueryPlanner planner(sharded_sketch, {}, query_options);
     planner.Rebuild(candidates);
 
-    // Verify before timing: bit-identical across planner thread counts,
-    // and identical to the per-pair EstimatePair reference when the
-    // candidate set is small enough for the O(n²·k) loop.
-    QueryOptions one_thread = planner_options;
-    one_thread.num_threads = 1;
-    QueryPlanner single(sharded_sketch, {}, one_thread);
-    single.Rebuild(candidates);
-    const auto planner_reference = single.AllPairsAbove(tau);
+    // Verify before timing: bit-identical to the per-pair reference and
+    // across thread counts.
+    const std::string at = " at shards=" + std::to_string(shards);
     const auto planner_result = planner.AllPairsAbove(tau);
-    VOS_CHECK(planner_result.size() == planner_reference.size())
-        << "planner result depends on thread count at shards=" << shards;
-    for (size_t i = 0; i < planner_result.size(); ++i) {
-      VOS_CHECK(planner_result[i].u == planner_reference[i].u &&
-                planner_result[i].v == planner_reference[i].v &&
-                planner_result[i].common == planner_reference[i].common &&
-                planner_result[i].jaccard == planner_reference[i].jaccard)
-          << "planner pair " << i << " differs across thread counts";
-    }
-    if (users <= 600) {
-      const auto brute = planner.AllPairsAboveReference(tau);
-      VOS_CHECK(planner_result.size() == brute.size())
-          << "planner disagrees with the EstimatePair reference";
-      for (size_t i = 0; i < brute.size(); ++i) {
-        VOS_CHECK(planner_result[i].u == brute[i].u &&
-                  planner_result[i].v == brute[i].v &&
-                  planner_result[i].common == brute[i].common &&
-                  planner_result[i].jaccard == brute[i].jaccard)
-            << "planner pair " << i << " differs from EstimatePair";
-      }
-    }
+    check_pairs(planner_result, planner.AllPairsAboveReference(tau),
+                "planner vs reference" + at);
+    planner.set_num_threads(1);
+    check_pairs(planner.AllPairsAbove(tau), planner_result,
+                "planner thread counts" + at);
+    planner.set_num_threads(threads);
 
     const double planner_seconds = BestSeconds(repeats, [&] {
       (void)planner.AllPairsAbove(tau);
     });
-    if (shards == 1) planner_base_seconds = planner_seconds;
-    const double speedup = planner_base_seconds / planner_seconds;
+    const double speedup = batch_many / planner_seconds;
     planner_last_speedup = speedup;
     planner_last_shards = shards;
-    emit("planner_all_pairs", "planner-s" + std::to_string(shards),
-         planner_threads, planner_seconds, num_pairs / planner_seconds,
-         "pairs/s", speedup);
+    emit("planner_all_pairs", "planner-s" + std::to_string(shards), threads,
+         planner_seconds, num_pairs / planner_seconds, "pairs/s", speedup);
   }
 
   // ------------------------------------------------------ hot-shard tiling
@@ -496,16 +465,8 @@ int main(int argc, char** argv) {
       hot_planner.Rebuild(hot_candidates);
       // Bit-identity across thread counts on the skewed workload before
       // any timing — the tiles repartition the triangle, never its output.
-      const auto hot_result = hot_planner.AllPairsAbove(tau);
-      VOS_CHECK(hot_result.size() == hot_reference.size())
-          << "hot-shard result depends on thread count";
-      for (size_t i = 0; i < hot_result.size(); ++i) {
-        VOS_CHECK(hot_result[i].u == hot_reference[i].u &&
-                  hot_result[i].v == hot_reference[i].v &&
-                  hot_result[i].common == hot_reference[i].common &&
-                  hot_result[i].jaccard == hot_reference[i].jaccard)
-            << "hot-shard pair " << i << " differs across thread counts";
-      }
+      check_pairs(hot_planner.AllPairsAbove(tau), hot_reference,
+                  "hot-shard thread counts");
       const double hot_seconds = BestSeconds(repeats, [&] {
         (void)hot_planner.AllPairsAbove(tau);
       });
@@ -519,13 +480,13 @@ int main(int argc, char** argv) {
   EmitTable(flags, table, header, rows);
   MaybeEmitJson(flags, "micro_query_path", header, rows);
   std::printf("\n%zu pairs above tau=%.2f; batch results verified "
-              "bit-identical to the scalar seed path.\n",
+              "bit-identical to the scalar reference.\n",
               reference.size(), tau);
   std::printf("all_pairs speedup: %.2fx single-thread, %.2fx with %u "
               "threads.\n",
               scalar_pairs / batch_one, scalar_pairs / batch_many, threads);
   std::printf("planner all_pairs scaling 1 -> %u shards: %.2fx vs. the "
-              "single global index (task-parallel scatter-gather; needs "
+              "one-snapshot engine (task-parallel scatter-gather; needs "
               "multiple hardware threads).\n",
               planner_last_shards, planner_last_speedup);
   return 0;

@@ -28,7 +28,7 @@
 
 #include "baselines/minhash.h"
 #include "common/random.h"
-#include "core/similarity_index.h"
+#include "core/query_planner.h"
 #include "core/vos_method.h"
 #include "exact/exact_store.h"
 
@@ -91,11 +91,11 @@ Quality Score(const Method& method, const vos::exact::ExactStore& exact) {
   return ScoreFromEstimates(estimate, exact);
 }
 
-/// VOS is scored through the batch query engine: one Rebuild snapshots all
-/// document digests, one thread-partitioned AllPairsAbove sweep yields
+/// VOS is scored through the query engine: one Rebuild snapshots all
+/// document digests, one tiled AllPairsAbove scan yields
 /// every pair's estimate (τ = 0 keeps all pairs, estimates are clamped to
 /// [0, 1]) — no per-pair sketch reconstruction.
-Quality ScoreVosBatch(vos::core::SimilarityIndex& index,
+Quality ScoreVosBatch(vos::core::QueryPlanner& index,
                       const std::vector<UserId>& docs,
                       const vos::exact::ExactStore& exact) {
   index.Rebuild(docs);
@@ -143,8 +143,8 @@ int main() {
   }
   std::vector<UserId> docs;
   for (UserId doc = 0; doc < kDocs; ++doc) docs.push_back(doc);
-  // MakeIndex builds the snapshot with the method's QueryOptions, so
-  // factory-style knobs (tile_rows) would govern this scan.
+  // MakeIndex builds a query engine over the method's sketch; every
+  // report() re-snapshots it with Rebuild before scanning.
   const auto vos_index = vos_method.MakeIndex(docs);
 
   auto report = [&](const char* phase) {

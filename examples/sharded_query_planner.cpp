@@ -4,10 +4,14 @@
 // The pipeline this example walks through:
 //
 //   stream → ShardedVosSketch (dense user remap, per-shard worker threads)
-//          → QueryPlanner (one SimilarityIndex per shard)
+//          → QueryPlanner (the query engine; one SimilarityIndex
+//            snapshot per shard)
 //          → AllPairsAbove / TopK answered as a scatter–gather with
 //            cross-shard pairs estimated under the (1−2β_A)(1−2β_B)
 //            correction, then refreshed incrementally after more churn.
+//
+// The same engine runs over a plain VosSketch as its one-shard case
+// (QueryPlanner's VosSketch constructor, or VosMethod::MakeIndex).
 //
 // Build & run:
 //   cmake -B build && cmake --build build
@@ -88,8 +92,8 @@ int main() {
   }
   std::printf("\n");
 
-  // Churn a handful of users, then refresh: only their shards' dirty rows
-  // are re-extracted — the other shards' snapshots are block-copied.
+  // Churn one user, then refresh: each shard patches only the digest bits
+  // its flip log says changed instead of re-extracting every row.
   for (uint32_t c = 0; c < 200; ++c) {
     sketch.Update({0, 0 * 100000u + c, Action::kDelete});
   }

@@ -19,14 +19,14 @@
 #include <memory>
 #include <vector>
 
-#include "core/similarity_index.h"
+#include "core/query_planner.h"
 #include "core/vos_method.h"
 #include "exact/exact_store.h"
 #include "stream/dataset.h"
 
 namespace {
 
-using vos::core::SimilarityIndex;
+using vos::core::QueryPlanner;
 using vos::core::VosConfig;
 using vos::core::VosMethod;
 using vos::stream::UserId;
@@ -50,11 +50,11 @@ int main() {
   std::vector<UserId> candidates;
   for (UserId u = 0; u < 64; ++u) candidates.push_back(u);
 
-  // The batch query engine: MakeIndex builds a snapshot configured with
-  // the method's QueryOptions; Rebuild() re-snapshots every candidate
-  // digest once per checkpoint (thread-parallel), then TopK is a handful
-  // of row kernels instead of per-pair sketch reconstructions.
-  const std::unique_ptr<SimilarityIndex> index = method.MakeIndex(candidates);
+  // The query engine: MakeIndex builds a QueryPlanner over the method's
+  // sketch; Rebuild() re-snapshots every candidate digest once per
+  // checkpoint (thread-parallel), then TopK is a handful of row kernels
+  // instead of per-pair sketch reconstructions.
+  const std::unique_ptr<QueryPlanner> index = method.MakeIndex(candidates);
 
   // Replay the stream; at a few checkpoints, surface neighbors and
   // recommendations.
@@ -68,7 +68,7 @@ int main() {
                 t + 1, focal, method.sketch().Cardinality(focal));
     index->Rebuild(candidates);
     const auto peers = index->TopK(focal, 3);
-    for (const SimilarityIndex::Entry& peer : peers) {
+    for (const QueryPlanner::Entry& peer : peers) {
       std::printf("  peer %3u: estimated J = %.3f (exact %.3f)\n", peer.user,
                   peer.jaccard, exact.Jaccard(focal, peer.user));
     }

@@ -1,12 +1,9 @@
 // The shared pair-scan tier: tiled enumeration of triangle and rectangle
 // pair spaces over cardinality-sorted DigestMatrix snapshots.
 //
-// Before this tier existed the all-pairs scan lived twice — once in
-// SimilarityIndex::AllPairsAbove (the same-shard/global triangle) and
-// once in QueryPlanner's cross-shard passes (the rectangle) — so every
-// scan improvement had to be implemented and verified twice. Both call
-// sites now describe their work as `Pass`es and hand them to RunPasses,
-// which
+// Its one call site, QueryPlanner::AllPairsAbove, describes its work as
+// `Pass`es (same-shard triangles, cross-shard rectangles) and hands them
+// to RunPasses, which
 //
 //   * decomposes every pass into cache-sized row×row tiles
 //     (`QueryOptions::tile_rows` per edge): a tile's two row ranges stay

@@ -1,18 +1,16 @@
-// Shared building blocks of the pair-scan engines: SimilarityIndex's
-// same-shard sorted sweep and QueryPlanner's cross-shard passes, both of
-// which now run on the tiled scan tier in core/pair_scan.h.
+// Shared building blocks of the query engine's scans: QueryPlanner's TopK
+// loop and the tiled all-pairs passes of core/pair_scan.h.
 //
-// The planner's output is asserted bit-identical to the single-index
-// path, so everything both sweeps must agree on lives here exactly once:
-// the result record types and their total orders, the dynamic worker
-// pool, and the conservative prefilter math (slack regime, phase-split
-// policy, confinement test). Tuning any of these in one sweep but not
-// the other would silently diverge results under specific cardinality
-// distributions — keeping them in one header makes the lockstep
-// structural.
+// Everything the scans and their references must agree on lives here
+// exactly once: the result record types and their total orders, the
+// dynamic worker pool, and the conservative prefilter math (slack
+// regime, phase-split policy, confinement test). Tuning any of these in
+// one scan but not another would silently diverge results under specific
+// cardinality distributions — keeping them in one header makes the
+// lockstep structural.
 //
 // Internal to core/; not part of the public query API (callers see the
-// records as SimilarityIndex::Entry / SimilarityIndex::Pair aliases).
+// records as QueryPlanner::Entry / QueryPlanner::Pair aliases).
 
 #pragma once
 
@@ -27,14 +25,14 @@
 
 namespace vos::core::scan {
 
-/// One TopK answer (aliased as SimilarityIndex::Entry).
+/// One TopK answer (aliased as QueryPlanner::Entry).
 struct Entry {
   stream::UserId user = 0;  ///< the matched candidate
   double common = 0.0;      ///< ŝ (estimated common items with the query)
   double jaccard = 0.0;     ///< Ĵ
 };
 
-/// One thresholded pair (aliased as SimilarityIndex::Pair).
+/// One thresholded pair (aliased as QueryPlanner::Pair).
 struct Pair {
   stream::UserId u = 0;
   stream::UserId v = 0;
@@ -43,7 +41,7 @@ struct Pair {
 };
 
 /// Total order on TopK entries: Ĵ descending, then user ascending —
-/// batch, planner and scalar-reference results all sort to this.
+/// the batch scan and the scalar reference both sort to this.
 inline bool EntryBefore(const Entry& a, const Entry& b) {
   return a.jaccard != b.jaccard ? a.jaccard > b.jaccard : a.user < b.user;
 }

@@ -2,65 +2,35 @@
 // behind the same harness interface as every other method.
 //
 // Update/UpdateBatch feed the concurrent ingest pipeline; FlushIngest
-// quiesces it (the harness calls it at every checkpoint). Two query-cache
-// modes:
-//
-//   * Default: PrepareQuery flushes, then materializes the tracked users'
-//     digests into one DigestMatrix *per shard* — each user extracted
-//     from its owning shard under its dense local id — so EstimatePair is
-//     a word-wise XOR+popcount between two cached rows plus log-table
-//     lookups, exactly like VosMethod's batch path. Rows from different
-//     shards are directly comparable (shared ψ, equal k); only the β
-//     correction switches to the two-shard form (see
-//     core/sharded_vos_sketch.h).
-//
-//   * Shard-local planner mode (ShardedQueryConfig::shards_local): the
-//     cache is a QueryPlanner holding one incremental SimilarityIndex per
-//     shard. The first PrepareQuery builds the per-shard snapshots; every
-//     subsequent PrepareQuery over the SAME tracked set refreshes them
-//     incrementally (SimilarityIndex::RefreshDirty shard-locally, with
-//     the adaptive full-rebuild fallback) instead of re-extracting every
-//     row — the PR 2 follow-up paid off at the harness checkpoint loop.
-//     EstimatePair reads snapshot rows from the shard indexes; estimates
-//     are bit-identical to the default mode on quiesced state. This mode
-//     requires (and force-enables) VosConfig::track_dirty on the shards.
+// quiesces it (the harness calls it at every checkpoint). PrepareQuery
+// flushes, then snapshots the tracked users into a QueryPlanner
+// (core/query_planner.h) — the one query engine, shared with VosMethod —
+// holding one SimilarityIndex per shard, each user extracted from its
+// owning shard under its dense local id. EstimatePair is then a
+// word-wise XOR+popcount between two snapshot rows plus log-table
+// lookups; rows from different shards are directly comparable (shared ψ,
+// equal k), only the β correction switches to the two-shard form (see
+// core/sharded_vos_sketch.h). When the shards keep a flip log
+// (VosConfig::track_dirty with per-shard m ≤ 2^32) the planner is
+// incremental: every PrepareQuery over the SAME tracked set refreshes the
+// snapshots shard-locally (SimilarityIndex::RefreshDirty, with its
+// adaptive full-rebuild fallback) instead of re-extracting every row.
 
 #pragma once
 
-#include <memory>
-#include <unordered_map>
 #include <vector>
 
-#include "core/digest_matrix.h"
 #include "core/query_planner.h"
 #include "core/sharded_vos_sketch.h"
 #include "core/similarity_method.h"
 
 namespace vos::core {
 
-/// Query-tier knobs of ShardedVosMethod (the ingest knobs live in
-/// ShardedVosConfig).
-struct ShardedQueryConfig {
-  /// Maintain shard-local incremental SimilarityIndexes (QueryPlanner)
-  /// as the PrepareQuery cache instead of rebuilding per-shard digest
-  /// matrices from scratch at every checkpoint. Implies dirty tracking
-  /// on the shards.
-  bool shards_local = false;
-  /// Planner task-level worker threads (0 = hardware concurrency). Only
-  /// meaningful with shards_local; SetQueryThreads overrides it.
-  unsigned planner_threads = 0;
-  /// Rows per tile edge of the planner's pair scans (0 = sized from the
-  /// cache hierarchy; see QueryOptions::tile_rows). Only meaningful with
-  /// shards_local.
-  size_t tile_rows = 0;
-};
-
 /// Sharded VOS as a pluggable SimilarityMethod ("VOS-sharded").
 class ShardedVosMethod : public SimilarityMethod {
  public:
   ShardedVosMethod(const ShardedVosConfig& config, UserId num_users,
-                   VosEstimatorOptions options = {},
-                   ShardedQueryConfig query_config = {});
+                   VosEstimatorOptions options = {});
 
   std::string Name() const override { return "VOS-sharded"; }
 
@@ -90,8 +60,9 @@ class ShardedVosMethod : public SimilarityMethod {
 
   /// Atomic whole-pipeline checkpoint / recovery (forwards to
   /// ShardedVosSketch; see there for the watermark contract). Restore
-  /// additionally drops the planner and the digest caches — their
-  /// incremental state references the pre-restore snapshots.
+  /// additionally stops EstimatePair serving the pre-restore snapshot;
+  /// the next PrepareQuery rebuilds it (the restored shards renew their
+  /// flip-log generations, so a refresh falls back to a rebuild).
   Status Checkpoint(const std::string& path) {
     return sketch_.Checkpoint(path);
   }
@@ -102,58 +73,24 @@ class ShardedVosMethod : public SimilarityMethod {
   size_t MemoryBits() const override { return sketch_.MemoryBits(); }
 
   void PrepareQuery(const std::vector<UserId>& users) override;
-  void InvalidateQueryCache() override;
+  void InvalidateQueryCache() override { prepared_ = false; }
   void SetQueryThreads(unsigned num_threads) override {
-    query_threads_ = num_threads;
+    planner_.set_num_threads(num_threads);
   }
 
   const ShardedVosSketch& sketch() const { return sketch_; }
   ShardedVosSketch& mutable_sketch() { return sketch_; }
 
-  /// The planner cache (shards_local mode only; nullptr otherwise or
-  /// before the first PrepareQuery). Exposed for tests and for callers
-  /// that want planner-level queries (TopK/AllPairsAbove) over the
-  /// tracked set.
-  const QueryPlanner* planner() const { return planner_.get(); }
+  /// The PrepareQuery snapshot, for callers that want TopK/AllPairsAbove
+  /// over the tracked set (and for tests).
+  const QueryPlanner& planner() const { return planner_; }
 
  private:
-  /// Where a cached user's digest row lives (default mode).
-  struct CacheSlot {
-    uint32_t shard = 0;
-    uint32_t row = 0;
-  };
-
-  PairEstimate EstimateFromPlanner(UserId u, UserId v) const;
-
-  /// Force-enables dirty tracking when the planner mode needs it.
-  static ShardedVosConfig WithQueryConfig(ShardedVosConfig config,
-                                          const ShardedQueryConfig& query);
-
-  ShardedVosConfig config_;
-  ShardedQueryConfig query_config_;
   ShardedVosSketch sketch_;
-  /// ln|1−2·d/k| per Hamming distance d (see SimilarityIndex).
-  std::vector<double> log_alpha_table_;
-
-  // --- Default-mode cache: one digest matrix per shard ------------------
-  std::vector<DigestMatrix> cache_;
-  std::unordered_map<UserId, CacheSlot> cache_slots_;
-  /// Per-shard β and log-beta term memoized at PrepareQuery; EstimatePair
-  /// revalidates against the live β (one compare per endpoint).
-  std::vector<double> cached_beta_;
-  std::vector<double> cached_log_beta_term_;
-
-  // --- Planner-mode cache ----------------------------------------------
-  std::unique_ptr<QueryPlanner> planner_;
-  /// The tracked set the planner snapshots cover; a different set at
-  /// PrepareQuery forces a full planner Rebuild.
-  std::vector<UserId> planner_candidates_;
-  /// False between InvalidateQueryCache and the next PrepareQuery: the
-  /// planner keeps its incremental state but EstimatePair answers from
-  /// the live sketch.
-  bool planner_ready_ = false;
-
-  unsigned query_threads_ = 0;
+  QueryPlanner planner_;
+  /// EstimatePair reads the planner between PrepareQuery and
+  /// InvalidateQueryCache, the live sketch otherwise.
+  bool prepared_ = false;
 };
 
 }  // namespace vos::core

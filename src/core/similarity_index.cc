@@ -1,36 +1,25 @@
 #include "core/similarity_index.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstring>
-#include <thread>
 
-#include "common/popcount.h"
-#include "core/pair_scan.h"
 #include "core/scan_common.h"
 
 namespace vos::core {
-namespace {
-
-// Result orders and the dynamic worker pool are shared with the planner
-// (core/scan_common.h) — both paths must sort and schedule identically.
-using scan::EntryBefore;
-using scan::PairBefore;
-
-template <typename Work>
-void RunBlocks(unsigned threads, size_t num_blocks, const Work& work) {
-  scan::RunIndexed(threads, num_blocks, work);
-}
-
-}  // namespace
 
 SimilarityIndex::SimilarityIndex(const VosSketch& sketch,
                                  VosEstimatorOptions options,
                                  QueryOptions query_options)
     : sketch_(&sketch),
       estimator_(sketch.config().k, options),
-      query_options_(query_options),
-      log_alpha_table_(estimator_.BuildLogAlphaTable()) {}
+      query_options_(query_options) {}
+
+bool SimilarityIndex::Patchable(size_t num_candidates,
+                                const VosConfig& config) {
+  constexpr uint64_t kMaxEntries = 0xffffffff;
+  return config.m <= uint64_t{1} << 32 &&
+         num_candidates <= kMaxEntries / std::max<uint32_t>(config.k, 1);
+}
 
 bool SimilarityIndex::RowBefore(uint32_t a, uint32_t b) const {
   return cardinalities_[a] != cardinalities_[b]
@@ -65,9 +54,10 @@ void SimilarityIndex::Rebuild(std::vector<UserId> candidates) {
   candidate_of_.clear();
   candidate_of_.reserve(n);
   for (size_t i = 0; i < n; ++i) {
-    // emplace keeps the first occurrence of a repeated user.
     candidate_of_.emplace(candidates_[i], static_cast<uint32_t>(i));
   }
+  // A repeated user would be scanned against itself and reported twice.
+  VOS_CHECK(candidate_of_.size() == n) << "duplicate candidates";
   std::vector<UserId> ordered_users(n);
   for (size_t p = 0; p < n; ++p) {
     ordered_users[p] = candidates_[sorted_rows_[p]];
@@ -85,10 +75,6 @@ void SimilarityIndex::Rebuild(std::vector<UserId> candidates) {
   } else {
     VOS_CHECK(sketch_->tracks_dirty())
         << "incremental index needs a sketch with VosConfig::track_dirty";
-    VOS_CHECK(sketch_->config().m <= uint64_t{0xffffffff})
-        << "the flip log stores cells as uint32; m too large";
-    VOS_CHECK(n * sketch_->config().k <= uint64_t{0xffffffff})
-        << "incremental index entries are uint32; candidates*k too large";
     sketch_->ClearDirtyUsers();
     flip_log_generation_ = sketch_->flip_log_generation();
   }
@@ -140,8 +126,10 @@ bool SimilarityIndex::RefreshDirty() {
   // it is complete and still the generation this index cleared; after an
   // overflow, a bulk replacement (MergeFrom, load, Restore) or another
   // consumer's clear, re-snapshot from scratch.
+  // A snapshot too large for the patch encodings always rebuilds.
   if (sketch_->flip_log_overflowed() ||
-      sketch_->flip_log_generation() != flip_log_generation_) {
+      sketch_->flip_log_generation() != flip_log_generation_ ||
+      !Patchable(candidates_.size(), sketch_->config())) {
     Rebuild(std::move(candidates_));
     return false;
   }
@@ -228,7 +216,7 @@ bool SimilarityIndex::RefreshDirty() {
     const size_t num_blocks = (n + block - 1) / block;
     const unsigned threads =
         ResolveThreadCount(query_options_.num_threads, num_blocks);
-    RunBlocks(threads, num_blocks, [&](size_t b) {
+    scan::RunIndexed(threads, num_blocks, [&](size_t b) {
       const size_t end = std::min(n, (b + 1) * block);
       for (size_t p = b * block; p < end; ++p) {
         std::memcpy(spare_.MutableRow(p),
@@ -254,173 +242,9 @@ bool SimilarityIndex::RefreshDirty() {
   return true;
 }
 
-size_t SimilarityIndex::RowOf(UserId user) const {
+size_t SimilarityIndex::RowIndexOf(UserId user) const {
   const auto it = candidate_of_.find(user);
-  return it == candidate_of_.end() ? kNpos : row_of_orig_[it->second];
-}
-
-PairEstimate SimilarityIndex::EstimateFromDigests(const BitVector& a,
-                                                  uint32_t card_a,
-                                                  const BitVector& b,
-                                                  uint32_t card_b) const {
-  const double alpha = static_cast<double>(a.HammingDistance(b)) /
-                       sketch_->config().k;
-  return estimator_.Estimate(card_a, card_b, alpha, beta_);
-}
-
-PairEstimate SimilarityIndex::EstimateRows(const uint64_t* a, uint32_t card_a,
-                                           const uint64_t* b,
-                                           uint32_t card_b) const {
-  const size_t d = XorPopcount(a, b, matrix_.words_per_row());
-  return estimator_.EstimateFromLogTerms(card_a, card_b, log_alpha_table_[d],
-                                         log_beta_term_);
-}
-
-// ----------------------------------------------------------------- TopK
-
-std::vector<SimilarityIndex::Entry> SimilarityIndex::TopKFromRow(
-    UserId query, const uint64_t* query_row, uint32_t query_card,
-    size_t k) const {
-  const size_t n = matrix_.rows();
-  const auto scan = [&](size_t begin, size_t end, std::vector<Entry>* out) {
-    for (size_t p = begin; p < end; ++p) {
-      const UserId candidate = candidates_[sorted_rows_[p]];
-      if (candidate == query) continue;
-      const PairEstimate est = EstimateRows(
-          query_row, query_card, matrix_.Row(p), cards_by_row_[p]);
-      out->push_back({candidate, est.common, est.jaccard});
-    }
-  };
-
-  std::vector<Entry> entries;
-  entries.reserve(n);
-  const size_t block = std::max<size_t>(query_options_.block_size, 1);
-  const size_t num_blocks = (n + block - 1) / block;
-  const unsigned threads =
-      ResolveThreadCount(query_options_.num_threads, num_blocks);
-  if (threads <= 1) {
-    scan(0, n, &entries);
-  } else {
-    std::vector<std::vector<Entry>> per_block(num_blocks);
-    RunBlocks(threads, num_blocks, [&](size_t b) {
-      const size_t begin = b * block;
-      scan(begin, std::min(n, begin + block), &per_block[b]);
-    });
-    for (const auto& chunk : per_block) {
-      entries.insert(entries.end(), chunk.begin(), chunk.end());
-    }
-  }
-  const size_t take = std::min(k, entries.size());
-  std::partial_sort(entries.begin(), entries.begin() + take, entries.end(),
-                    EntryBefore);
-  entries.resize(take);
-  return entries;
-}
-
-std::vector<SimilarityIndex::Entry> SimilarityIndex::TopK(UserId query,
-                                                          size_t k) const {
-  if (candidates_.empty()) return {};
-  const size_t row = RowOf(query);
-  if (row != kNpos) {
-    // Snapshot reuse: the query's digest and cardinality were captured at
-    // Rebuild; no per-call re-extraction.
-    return TopKFromRow(query, matrix_.Row(row), cards_by_row_[row], k);
-  }
-  std::vector<uint64_t> query_row(matrix_.words_per_row());
-  DigestMatrix::ExtractRow(*sketch_, query, query_row.data());
-  return TopKFromRow(query, query_row.data(), sketch_->Cardinality(query), k);
-}
-
-std::vector<SimilarityIndex::Entry> SimilarityIndex::TopKReference(
-    UserId query, size_t k) const {
-  if (candidates_.empty()) return {};
-  BitVector query_digest;
-  uint32_t query_card = 0;
-  const size_t row = RowOf(query);
-  if (row != kNpos) {
-    query_digest = matrix_.RowAsBitVector(row);
-    query_card = cards_by_row_[row];
-  } else {
-    query_digest = sketch_->ExtractUserSketch(query);
-    query_card = sketch_->Cardinality(query);
-  }
-  std::vector<Entry> entries;
-  entries.reserve(candidates_.size());
-  for (size_t i = 0; i < candidates_.size(); ++i) {
-    if (candidates_[i] == query) continue;
-    const PairEstimate est = EstimateFromDigests(
-        query_digest, query_card, matrix_.RowAsBitVector(row_of_orig_[i]),
-        cardinalities_[i]);
-    entries.push_back({candidates_[i], est.common, est.jaccard});
-  }
-  const size_t take = std::min(k, entries.size());
-  std::partial_sort(entries.begin(), entries.begin() + take, entries.end(),
-                    EntryBefore);
-  entries.resize(take);
-  return entries;
-}
-
-// ----------------------------------------------------------- AllPairsAbove
-
-std::vector<SimilarityIndex::Pair> SimilarityIndex::AllPairsAbove(
-    double jaccard_threshold) const {
-  std::vector<Pair> pairs;
-  if (matrix_.rows() < 2) return pairs;
-  // One triangle pass on the shared tiled scan tier; the prefilter is
-  // sound only where Ĵ is monotone in ŝ over the clamped feasible range,
-  // so the gate resolves here (scan::PrefilterApplies) exactly as the
-  // planner resolves it.
-  pair_scan::ScanParams params;
-  params.jaccard_threshold = jaccard_threshold;
-  params.prefilter =
-      scan::PrefilterApplies(query_options_.prefilter,
-                             estimator_.options().clamp_to_feasible,
-                             jaccard_threshold);
-  params.estimator = &estimator_;
-  params.log_alpha_table = &log_alpha_table_;
-
-  pair_scan::Pass pass;
-  pass.a = pass.b = pair_scan::MatrixView{&matrix_, cards_by_row_.data()};
-  pass.triangle = true;
-  pass.log_beta_pair = log_beta_term_;
-  pass.emit = [this](size_t p, size_t q, const PairEstimate& est,
-                     std::vector<Pair>& out) {
-    // Canonical orientation: smaller candidate index first, as the
-    // reference loop emits.
-    const uint32_t oi = sorted_rows_[p];
-    const uint32_t oj = sorted_rows_[q];
-    const uint32_t u = std::min(oi, oj);
-    const uint32_t v = std::max(oi, oj);
-    out.push_back({candidates_[u], candidates_[v], est.common, est.jaccard});
-  };
-
-  pairs = pair_scan::RunPasses({pass}, params, query_options_.tile_rows,
-                               query_options_.num_threads);
-  std::sort(pairs.begin(), pairs.end(), PairBefore);
-  return pairs;
-}
-
-std::vector<SimilarityIndex::Pair> SimilarityIndex::AllPairsAboveReference(
-    double jaccard_threshold) const {
-  const size_t n = matrix_.rows();
-  std::vector<BitVector> digests;
-  digests.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    digests.push_back(matrix_.RowAsBitVector(row_of_orig_[i]));
-  }
-  std::vector<Pair> pairs;
-  for (size_t i = 0; i < n; ++i) {
-    for (size_t j = i + 1; j < n; ++j) {
-      const PairEstimate est = EstimateFromDigests(
-          digests[i], cardinalities_[i], digests[j], cardinalities_[j]);
-      if (est.jaccard >= jaccard_threshold) {
-        pairs.push_back({candidates_[i], candidates_[j], est.common,
-                         est.jaccard});
-      }
-    }
-  }
-  std::sort(pairs.begin(), pairs.end(), PairBefore);
-  return pairs;
+  return it == candidate_of_.end() ? npos : row_of_orig_[it->second];
 }
 
 }  // namespace vos::core

@@ -1,54 +1,27 @@
-// SimilarityIndex: batched, parallel similarity queries over a VOS sketch.
+// SimilarityIndex: the per-snapshot state of the query engine.
 //
-// The sketch answers one pair in O(k); applications usually want "who is
-// most similar to u?" or "all pairs above J ≥ τ" over a candidate set
-// (e.g. the currently active users). Rebuild() snapshots every candidate's
-// reconstructed digest into a DigestMatrix — one contiguous packed buffer,
-// filled by a thread-parallel extraction pass over the sketch's cached
-// f-seed table — after which a pair estimate is one word-wise XOR+popcount
-// row kernel (common/popcount.h) plus a table lookup:
+// Rebuild() snapshots every candidate's reconstructed digest from one
+// VosSketch into a DigestMatrix — one contiguous packed buffer, filled by
+// a thread-parallel extraction pass over the sketch's cached f-seed
+// table — together with the candidates' cardinalities and the β log
+// term. Rows are stored in cardinality-sorted order (ties by candidate
+// index), so the pair scan's τ cardinality bound becomes a loop break
+// over contiguous memory (core/pair_scan.h). RefreshDirty() brings the
+// same candidate set up to date by patching only what the sketch's flip
+// log and dirty set say changed, bit-identical to a fresh Rebuild.
 //
-//   * ŝ depends on the Hamming distance d only through ln|1−2·d/k|, which
-//     takes k+1 values; Rebuild-time tabulation removes every log/divide
-//     from the O(U²) loop (bit-identical by construction — see
-//     VosEstimator::EstimateFromLogTerms).
-//   * AllPairsAbove runs on the shared tiled pair-scan tier
-//     (core/pair_scan.h), its only query path: the triangle is decomposed
-//     into cache-sized row×row tiles, each an independent work unit with
-//     its own result buffer, merged and canonically sorted at the end;
-//     results are bit-identical for every thread count and tile size.
-//   * A conservative prefilter converts the Jaccard threshold into
-//     cardinality and alpha (log-term) bounds. Because Ĵ ≥ τ forces
-//     min(n_u,n_v) ≥ τ/(1+τ)·(n_u+n_v), the all-pairs sweep runs in
-//     cardinality-sorted order: the admissible partners of each row form a
-//     contiguous window, and the inner loop breaks at its end — hopeless
-//     pairs are never enumerated, let alone popcounted. Pairs inside the
-//     window whose Hamming distance rules τ out are skipped before the
-//     estimator. All slacks are chosen so the filter never drops a pair
-//     the full estimator would keep; prefilter on/off is asserted
-//     identical in tests.
-//
-// TopKReference / AllPairsAboveReference keep the original scalar
-// implementation (per-user BitVector digests, one estimator call per
-// pair). They are the ground truth the batch engine is asserted
-// bit-identical against, and the baseline bench/micro_query_path.cc
-// measures speedups over.
-//
-// The index is a *snapshot*: estimates reflect the sketch state at the
-// last Rebuild(). This includes the TopK query user whenever it is among
-// the candidates — its stored row and cardinality are reused instead of
-// re-extracting per call. Rebuild after ingesting more stream (cheap
-// relative to re-scanning pairs).
+// The index answers no queries. QueryPlanner (core/query_planner.h) is
+// the one query engine: it owns one SimilarityIndex per shard — exactly
+// one over a plain VosSketch — and runs TopK, AllPairsAbove and the
+// per-pair estimate over their rows.
 //
 // Thread-safety contract: Rebuild() and RefreshDirty() mutate the index
-// and must not run concurrently with queries (or each other). Between
-// snapshots the index is immutable; TopK, AllPairsAbove and their
-// *Reference twins are const and safe to call concurrently from any
-// number of threads (each call may itself spawn
-// QueryOptions::num_threads workers). Snapshot calls additionally read —
-// and, under QueryOptions::incremental, consume — the bound sketch's
-// dirty set and flip log, so they must not race with sketch Updates
-// either; quiesce the ingest pipeline (ShardedVosSketch::Flush) before
+// and must not run concurrently with readers (or each other). Between
+// snapshots the index is immutable and its accessors are safe to call
+// from any number of threads. Snapshot calls additionally read — and,
+// under QueryOptions::incremental, consume — the bound sketch's dirty set
+// and flip log, so they must not race with sketch Updates either;
+// quiesce the ingest pipeline (ShardedVosSketch::Flush) before
 // snapshotting.
 
 #pragma once
@@ -56,23 +29,17 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/bit_vector.h"
 #include "core/digest_matrix.h"
-#include "core/scan_common.h"
 #include "core/vos_estimator.h"
 #include "core/vos_sketch.h"
 
 namespace vos::core {
 
-/// Tunables of the batch query engine.
+/// Tunables of the query engine (QueryPlanner) and its snapshots.
 struct QueryOptions {
-  /// Worker threads per query / Rebuild extraction pass
+  /// Worker threads per query / snapshot pass
   /// (0 = std::thread::hardware_concurrency()).
   unsigned num_threads = 0;
-  /// Rows per parallel work unit in the TopK candidate loop. Small
-  /// blocks balance mixed-cost workloads; large blocks cut scheduling
-  /// overhead. (The all-pairs loop is governed by `tile_rows` below.)
-  size_t block_size = 128;
   /// Rows per tile edge of the all-pairs pair scan (core/pair_scan.h):
   /// every triangle/rectangle pass is decomposed into tile_rows ×
   /// tile_rows row tiles, each one work unit on the pool, so a hot
@@ -82,20 +49,6 @@ struct QueryOptions {
   /// value ≥ the candidate count degenerates to one tile per pass.
   /// Results are bit-identical for every value.
   size_t tile_rows = 0;
-  /// Optimistic warm seed for QueryPlanner::TopK's shared raise-only
-  /// threshold bound (≤ 0 = cold start, the default). Any value is
-  /// safe: the result is verified to dominate the seed and the scan
-  /// reruns cold when it does not, so results are always bit-identical
-  /// to a cold start — a good seed (the previous checkpoint's k-th best
-  /// Ĵ) just skips most of the popcounts.
-  double topk_warm_threshold = -1.0;
-  /// Planner-held warm start: QueryPlanner remembers each completed
-  /// TopK's k-th best Ĵ per (query, k) and seeds the next call for that
-  /// same query with it (same verification + cold fallback as
-  /// topk_warm_threshold; per-query keying keeps a mixed query set from
-  /// cross-polluting bounds). Off by default; intended for the
-  /// checkpoint loop's repeated same-query-set TopK calls.
-  bool topk_warm_start = false;
   /// Enable the cardinality + Hamming-distance prescreen in
   /// AllPairsAbove. Only applied when the estimator clamps to the
   /// feasible range (the default); results are identical either way.
@@ -120,26 +73,19 @@ struct QueryOptions {
   double refresh_fallback_fraction = 0.5;
 };
 
-/// Snapshot index over a candidate set of users.
+/// Snapshot of one sketch's candidate digests, cardinalities and β.
 class SimilarityIndex {
  public:
-  /// One query answer (record shared with the scan tier,
-  /// core/scan_common.h: user / common / jaccard).
-  using Entry = scan::Entry;
-
-  /// One thresholded pair from AllPairsAbove (u / v / common / jaccard).
-  using Pair = scan::Pair;
-
   /// Binds to `sketch` (not owned; must outlive the index).
   explicit SimilarityIndex(const VosSketch& sketch,
                            VosEstimatorOptions options = {},
                            QueryOptions query_options = {});
 
   /// Snapshots digests, cardinalities and β for `candidates` (extraction
-  /// runs on QueryOptions::num_threads workers). With
-  /// QueryOptions::incremental it additionally consumes the sketch's
-  /// dirty set and flip log and drops the owner index, which the next
-  /// RefreshDirty rebuilds on first use.
+  /// runs on QueryOptions::num_threads workers). Candidates must be
+  /// unique (checked). With QueryOptions::incremental it additionally
+  /// consumes the sketch's dirty set and flip log and drops the owner
+  /// index, which the next RefreshDirty rebuilds on first use.
   void Rebuild(std::vector<UserId> candidates);
 
   /// Incrementally re-snapshots the SAME candidate set by patching only
@@ -153,10 +99,8 @@ class SimilarityIndex {
   /// into the new cardinality-sorted order by one block copy each, and β
   /// is recaptured — the result is asserted bit-identical to a full
   /// Rebuild(candidates) in tests for every dirty fraction and thread
-  /// count. The log-alpha table depends only on k and is never rebuilt
-  /// (k is fixed for the sketch's lifetime). Requires
-  /// QueryOptions::incremental and a prior Rebuild(); consumes the
-  /// sketch's dirty set and flip log.
+  /// count. Requires QueryOptions::incremental and a prior Rebuild();
+  /// consumes the sketch's dirty set and flip log.
   ///
   /// Cost: O(L log L) for L logged flips + one scan of the changed cell's
   /// word bucket (expected n·k/(m/64) entries, matched by bit offset) per
@@ -170,38 +114,26 @@ class SimilarityIndex {
   /// result) happen when the log cannot describe the change — it
   /// overflowed its max(1024, m/64) cap, or its generation is not the one
   /// this index recorded at its last snapshot (the sketch was merged into,
-  /// loaded or restored, or another consumer cleared it) — and when the
-  /// affected fraction exceeds QueryOptions::refresh_fallback_fraction.
+  /// loaded or restored, or another consumer cleared it) — when the
+  /// snapshot is not Patchable, and when the affected fraction exceeds
+  /// QueryOptions::refresh_fallback_fraction.
   /// Several incremental consumers of one sketch therefore stay correct
   /// but rebuild each other's snapshots: each one's clear invalidates the
   /// others' generation. Returns true when the incremental path ran,
   /// false when it fell back.
   bool RefreshDirty();
 
+  /// True when RefreshDirty can patch a snapshot of `num_candidates`
+  /// over a sketch of `config`: the flip log's cells (< m ≤ 2^32) and
+  /// the owner index's entries (< candidates·k) fit uint32. Past
+  /// either limit RefreshDirty always falls back to a full Rebuild.
+  static bool Patchable(size_t num_candidates, const VosConfig& config);
+
   /// True once an incremental Rebuild() has taken a snapshot (i.e.
   /// RefreshDirty() may be called).
   bool CanRefresh() const {
     return query_options_.incremental && snapshot_taken_;
   }
-
-  /// The `k` candidates most similar to `query` (by Ĵ, descending;
-  /// excluding the query itself if present among candidates). When the
-  /// query is a candidate its snapshot row is reused; otherwise its digest
-  /// is extracted from the live sketch.
-  std::vector<Entry> TopK(UserId query, size_t k) const;
-
-  /// All unordered candidate pairs with Ĵ ≥ `jaccard_threshold`,
-  /// descending by Ĵ (ties by (u, v)). Runs on the tiled pair-scan tier
-  /// (core/pair_scan.h); bit-identical to AllPairsAboveReference.
-  std::vector<Pair> AllPairsAbove(double jaccard_threshold) const;
-
-  /// Scalar reference implementation of TopK: single-threaded, per-user
-  /// BitVector digests, one estimator (log) call per pair. Kept as the
-  /// ground truth for bit-identity tests and as the bench baseline.
-  std::vector<Entry> TopKReference(UserId query, size_t k) const;
-
-  /// Scalar reference implementation of AllPairsAbove (see TopKReference).
-  std::vector<Pair> AllPairsAboveReference(double jaccard_threshold) const;
 
   size_t candidate_count() const { return candidates_.size(); }
 
@@ -216,9 +148,9 @@ class SimilarityIndex {
   /// combines two of these (core/query_planner.h).
   double log_beta_term() const { return log_beta_term_; }
 
-  /// Matrix row of `user` (first occurrence among candidates), or npos.
-  /// The planner reads snapshot rows by user through this.
-  size_t RowIndexOf(UserId user) const { return RowOf(user); }
+  /// Matrix row of candidate `user`, or npos when it is not one. The
+  /// planner reads snapshot rows by user through this.
+  size_t RowIndexOf(UserId user) const;
 
   /// Cardinality snapshot of matrix row p (rows are cardinality-sorted).
   uint32_t row_cardinality(size_t p) const { return cards_by_row_[p]; }
@@ -239,6 +171,9 @@ class SimilarityIndex {
 
   /// The candidate-list index owning matrix row p.
   size_t sorted_to_candidate(size_t p) const { return sorted_rows_[p]; }
+
+  /// The sketch this index snapshots.
+  const VosSketch& sketch() const { return *sketch_; }
 
   const QueryOptions& query_options() const { return query_options_; }
   void set_query_options(const QueryOptions& options) {
@@ -261,25 +196,8 @@ class SimilarityIndex {
   /// Recomputes row_of_orig_ and cards_by_row_ from sorted_rows_.
   void IndexSortedRows();
 
-  /// Reference-path estimate from two BitVector digests.
-  PairEstimate EstimateFromDigests(const BitVector& a, uint32_t card_a,
-                                   const BitVector& b, uint32_t card_b) const;
-
-  /// Batch-path estimate from two packed rows.
-  PairEstimate EstimateRows(const uint64_t* a, uint32_t card_a,
-                            const uint64_t* b, uint32_t card_b) const;
-
-  /// TopK core over an explicit query row + cardinality.
-  std::vector<Entry> TopKFromRow(UserId query, const uint64_t* query_row,
-                                 uint32_t query_card, size_t k) const;
-
-  /// Row index of `user` among the candidates, or npos.
-  size_t RowOf(UserId user) const;
-
   /// Builds the owner index (bucket_*_) for the current candidates.
   void BuildOwners();
-
-  static constexpr size_t kNpos = npos;
 
   const VosSketch* sketch_;
   VosEstimator estimator_;
@@ -289,7 +207,7 @@ class SimilarityIndex {
   /// the sweep order that turns the τ cardinality bound into a loop break
   /// while streaming the matrix contiguously.
   DigestMatrix matrix_;
-  /// Cardinalities in candidate order (reference paths, diagnostics).
+  /// Cardinalities in candidate order (the sort key of RowBefore).
   std::vector<uint32_t> cardinalities_;
   /// Cardinalities aligned with matrix rows (non-decreasing).
   std::vector<uint32_t> cards_by_row_;
@@ -297,13 +215,9 @@ class SimilarityIndex {
   std::vector<uint32_t> sorted_rows_;
   /// row_of_orig_[i] = matrix row of candidate index i.
   std::vector<uint32_t> row_of_orig_;
-  /// user → candidate index (first occurrence); built only at Rebuild,
-  /// since candidate indices are stable across refreshes.
+  /// user → candidate index; built only at Rebuild, since candidate
+  /// indices are stable across refreshes.
   std::unordered_map<UserId, uint32_t> candidate_of_;
-  /// log_alpha_table_[d] = VosEstimator::LogAlphaTerm(d / k) for every
-  /// Hamming distance d in [0, k]; built once in the constructor (it
-  /// depends only on k, so neither Rebuild nor RefreshDirty touches it).
-  std::vector<double> log_alpha_table_;
   double beta_ = 0.0;
   /// VosEstimator::LogBetaTerm(beta_), captured at Rebuild.
   double log_beta_term_ = 0.0;

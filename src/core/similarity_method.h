@@ -97,14 +97,20 @@ class SimilarityMethod {
   virtual size_t MemoryBits() const = 0;
 
   /// Optional batch hook called before a round of EstimatePair() calls for
-  /// `users`; lets methods precompute per-user digests (VOS materializes
-  /// its k reconstructed bits per tracked user once instead of per pair).
+  /// `users`; lets methods precompute per-user digests (VOS snapshots its
+  /// k reconstructed bits per tracked user once instead of per pair).
+  /// Contract: until InvalidateQueryCache, EstimatePair answers reflect
+  /// the state at this call — Update()s made after it are not seen. The
+  /// harness flushes ingest (FlushIngest) before each PrepareQuery and
+  /// invalidates before the stream advances.
   virtual void PrepareQuery(const std::vector<UserId>& users) {
     (void)users;
   }
 
-  /// Clears any cache built by PrepareQuery (called when the stream
-  /// advances past a checkpoint).
+  /// Drops the PrepareQuery snapshot from the estimate path (called when
+  /// the stream advances past a checkpoint); EstimatePair answers from
+  /// the current state again. A method may keep the snapshot's memory to
+  /// refresh it at the next PrepareQuery.
   virtual void InvalidateQueryCache() {}
 
   /// Optional: worker threads PrepareQuery may use for batch digest

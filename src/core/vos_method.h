@@ -1,22 +1,25 @@
-// SimilarityMethod adapter for VOS: sketch + estimator + batch query cache.
+// SimilarityMethod adapter for VOS: sketch + estimator + query snapshot.
 //
 // EstimatePair on raw VosSketch costs O(k) hash evaluations per user; with
 // hundreds of tracked users and tens of thousands of tracked pairs per
-// checkpoint that work is quadratic in pairs. PrepareQuery materializes the
-// tracked users' reconstructed k-bit sketches once — into a contiguous
-// DigestMatrix, extracted thread-parallel — so a pair estimate is a single
-// word-wise XOR+popcount row kernel plus a log-table lookup (no
-// transcendental calls on the pair loop; see
-// VosEstimator::EstimateFromLogTerms for the bit-identity argument).
+// checkpoint that work is quadratic in pairs. PrepareQuery snapshots the
+// tracked users' reconstructed k-bit sketches once into a QueryPlanner
+// (core/query_planner.h) — the one query engine, shared with
+// ShardedVosMethod — so a pair estimate is a single word-wise
+// XOR+popcount row kernel plus a log-table lookup (no transcendental calls
+// on the pair loop; see VosEstimator::EstimateFromLogTerms for the
+// bit-identity argument). The planner refreshes incrementally exactly when
+// the sketch keeps a flip log (VosConfig::track_dirty, the default, with
+// m ≤ 2^32); a refreshing snapshot additionally holds an owner index of
+// 5 bytes per candidate-bit once it first refreshes (see
+// QueryOptions::incremental).
 
 #pragma once
 
 #include <memory>
-#include <unordered_map>
 
 #include "common/bit_vector.h"
-#include "core/digest_matrix.h"
-#include "core/similarity_index.h"
+#include "core/query_planner.h"
 #include "core/similarity_method.h"
 #include "core/vos_estimator.h"
 #include "core/vos_sketch.h"
@@ -26,11 +29,11 @@ namespace vos::core {
 /// VOS as a pluggable SimilarityMethod.
 class VosMethod : public SimilarityMethod {
  public:
-  /// `query_options` configures batch scans built through MakeIndex()
-  /// (tile_rows, prefilter; the method_factory's tile_rows lands here);
-  /// the per-pair EstimatePair path ignores it.
   VosMethod(const VosConfig& config, UserId num_users,
-            VosEstimatorOptions options = {}, QueryOptions query_options = {});
+            VosEstimatorOptions options = {});
+  /// The planner points into this object's sketch: not copyable/movable.
+  VosMethod(const VosMethod&) = delete;
+  VosMethod& operator=(const VosMethod&) = delete;
 
   std::string Name() const override { return "VOS"; }
 
@@ -41,44 +44,29 @@ class VosMethod : public SimilarityMethod {
   size_t MemoryBits() const override { return sketch_.MemoryBits(); }
 
   void PrepareQuery(const std::vector<UserId>& users) override;
-  void InvalidateQueryCache() override {
-    cache_.Clear();
-    cache_rows_.clear();
-  }
+  void InvalidateQueryCache() override { prepared_ = false; }
   void SetQueryThreads(unsigned num_threads) override {
-    query_threads_ = num_threads;
+    planner_.set_num_threads(num_threads);
   }
 
   const VosSketch& sketch() const { return sketch_; }
-  const VosEstimator& estimator() const { return estimator_; }
-  const QueryOptions& query_options() const { return query_options_; }
 
-  /// A snapshot SimilarityIndex over `candidates`, configured with this
-  /// method's QueryOptions (so factory knobs such as tile_rows and the
-  /// last SetQueryThreads govern its scans). The returned index
-  /// follows the usual snapshot semantics (core/similarity_index.h);
-  /// callers drive TopK/AllPairsAbove on it directly.
-  std::unique_ptr<SimilarityIndex> MakeIndex(
+  /// A fresh query engine over this method's sketch, snapshotted on
+  /// `candidates` with the last SetQueryThreads worker count. The planner
+  /// follows the usual snapshot semantics (core/query_planner.h): call
+  /// Rebuild after ingesting more stream; callers drive
+  /// TopK/AllPairsAbove on it. It is never incremental, so it leaves the
+  /// sketch's dirty set to the method's own PrepareQuery snapshot.
+  std::unique_ptr<QueryPlanner> MakeIndex(
       std::vector<UserId> candidates) const;
 
  private:
-  /// Returns the cached digest for `user`, or extracts one on the fly
-  /// (slow path for users outside the PrepareQuery set).
-  BitVector DigestFor(UserId user) const;
-
   VosSketch sketch_;
-  VosEstimator estimator_;
-  QueryOptions query_options_;
-  /// ln|1−2·d/k| per Hamming distance d ∈ [0, k] (see SimilarityIndex).
-  std::vector<double> log_alpha_table_;
-  DigestMatrix cache_;
-  std::unordered_map<UserId, size_t> cache_rows_;
-  /// ln|1−2β| memoized at PrepareQuery; EstimatePair revalidates against
-  /// the live β (one compare), so estimates always reflect the current
-  /// fill while the unchanged-β hot loop pays no log.
-  double cached_beta_ = -1.0;
-  double cached_log_beta_term_ = 0.0;
-  unsigned query_threads_ = 0;
+  /// The PrepareQuery snapshot. EstimatePair reads it between
+  /// PrepareQuery and InvalidateQueryCache, and its live estimate
+  /// otherwise.
+  QueryPlanner planner_;
+  bool prepared_ = false;
 };
 
 /// Ablation baseline: the dedicated (non-virtual) odd sketch of [9], one

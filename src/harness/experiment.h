@@ -50,11 +50,7 @@ struct ExperimentConfig {
   /// the replay batch size for both experiment entry points; metrics are
   /// identical for every value, since the default UpdateBatch is the
   /// element loop and batched methods quiesce via FlushIngest before
-  /// each checkpoint), and query-tier knobs (query_shards_local /
-  /// planner_threads: "VOS-sharded" checkpoints refresh shard-local
-  /// incremental indexes instead of re-extracting every tracked user;
-  /// estimates — and therefore all metrics — are bit-identical either
-  /// way).
+  /// each checkpoint).
   MethodFactoryConfig factory;
 };
 

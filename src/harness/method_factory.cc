@@ -43,43 +43,18 @@ StatusOr<std::unique_ptr<core::SimilarityMethod>> CreateMethod(
   const auto num_users = static_cast<stream::UserId>(config.num_users);
 
   if (name == "VOS") {
-    core::VosConfig vos;
-    vos.k = budget.VosVirtualK(config.lambda);
-    vos.m = budget.VosArrayBits();
-    vos.seed = SeedFor(config, name);
-    // Harness methods are never consumed incrementally; keep the paper's
-    // bare O(1) update on the Figure-2 measurement path.
-    vos.track_dirty = false;
     core::VosEstimatorOptions options;
     options.clamp_to_feasible = config.clamp;
-    core::QueryOptions query_options;
-    query_options.tile_rows = config.tile_rows;
     return std::unique_ptr<core::SimilarityMethod>(
-        std::make_unique<core::VosMethod>(vos, num_users, options,
-                                          query_options));
+        std::make_unique<core::VosMethod>(VosSketchConfig(config), num_users,
+                                          options));
   }
   if (name == "VOS-sharded") {
-    core::ShardedVosConfig sharded;
-    sharded.base.k = budget.VosVirtualK(config.lambda);
-    sharded.base.m = budget.VosArrayBits();  // total across shards
-    // Same seed as "VOS" so a 1-shard sharded method is the identical
-    // sketch (ShardedVosSketch::ShardConfig keeps the base config then).
-    sharded.base.seed = SeedFor(config, "VOS");
-    sharded.base.track_dirty = false;  // as for "VOS": bare update path
-    sharded.num_shards = std::max<uint32_t>(1, config.vos_shards);
-    sharded.ingest_threads = config.ingest_threads;
-    sharded.ingest_producers = std::max<unsigned>(1, config.ingest_producers);
-    sharded.batch_size = std::max<size_t>(1, config.ingest_batch);
-    sharded.pin_numa_workers = config.pin_threads;
     core::VosEstimatorOptions options;
     options.clamp_to_feasible = config.clamp;
-    core::ShardedQueryConfig query;
-    query.shards_local = config.query_shards_local;
-    query.planner_threads = config.planner_threads;
-    query.tile_rows = config.tile_rows;
     return std::unique_ptr<core::SimilarityMethod>(
-        std::make_unique<core::ShardedVosMethod>(sharded, num_users, options,
-                                                 query));
+        std::make_unique<core::ShardedVosMethod>(
+            ShardedVosSketchConfig(config), num_users, options));
   }
   if (name == "MinHash") {
     baseline::MinHashConfig mh;
@@ -144,6 +119,31 @@ StatusOr<std::unique_ptr<core::SimilarityMethod>> CreateMethod(
                                                 config.num_items));
   }
   return Status::InvalidArgument("unknown method '" + name + "'");
+}
+
+core::VosConfig VosSketchConfig(const MethodFactoryConfig& config) {
+  const MemoryBudget budget(config.base_k, config.num_users);
+  core::VosConfig vos;
+  vos.k = budget.VosVirtualK(config.lambda);
+  vos.m = budget.VosArrayBits();
+  vos.seed = SeedFor(config, "VOS");
+  vos.track_dirty = false;
+  return vos;
+}
+
+core::ShardedVosConfig ShardedVosSketchConfig(
+    const MethodFactoryConfig& config) {
+  core::ShardedVosConfig sharded;
+  // The "VOS" sketch's total memory and seed, so a 1-shard sharded method
+  // is the identical sketch (ShardedVosSketch::ShardConfig keeps the base
+  // config then).
+  sharded.base = VosSketchConfig(config);
+  sharded.num_shards = std::max<uint32_t>(1, config.vos_shards);
+  sharded.ingest_threads = config.ingest_threads;
+  sharded.ingest_producers = std::max<unsigned>(1, config.ingest_producers);
+  sharded.batch_size = std::max<size_t>(1, config.ingest_batch);
+  sharded.pin_numa_workers = config.pin_threads;
+  return sharded;
 }
 
 std::vector<std::string> PaperMethods() {

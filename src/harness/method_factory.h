@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "core/sharded_vos_sketch.h"
 #include "core/similarity_method.h"
 #include "harness/memory_budget.h"
 
@@ -55,22 +56,6 @@ struct MethodFactoryConfig {
   /// default comes from numa::DefaultPinThreads() at the tool layer:
   /// off on single-node machines, on (or VOS_PIN) on multi-node ones.
   bool pin_threads = false;
-  /// "VOS-sharded" query tier: maintain shard-local incremental
-  /// SimilarityIndexes (core/query_planner.h) as the PrepareQuery cache.
-  /// Checkpoints after the first refresh only changed rows instead of
-  /// re-extracting every tracked user. Enables dirty tracking on the
-  /// shards (a small per-update cost), so it is off by default to keep
-  /// the Figure-2 update measurement at the paper's bare cost; estimates
-  /// are bit-identical either way.
-  bool query_shards_local = false;
-  /// Planner task-level worker threads for query_shards_local (0 =
-  /// hardware concurrency; SimilarityMethod::SetQueryThreads overrides).
-  unsigned planner_threads = 0;
-  /// Rows per tile edge of the pair-scan tier's all-pairs scans
-  /// (core/pair_scan.h; 0 = sized from the cache hierarchy). Lands in
-  /// "VOS"'s MakeIndex QueryOptions and "VOS-sharded"'s planner mode;
-  /// results are bit-identical for every value.
-  size_t tile_rows = 0;
 };
 
 /// Recognized names: "VOS", "VOS-sharded", "MinHash", "OPH", "OPH+rot",
@@ -78,6 +63,17 @@ struct MethodFactoryConfig {
 /// InvalidArgument for anything else.
 StatusOr<std::unique_ptr<core::SimilarityMethod>> CreateMethod(
     const std::string& name, const MethodFactoryConfig& config);
+
+/// The sketch configuration CreateMethod builds "VOS" with: §V sizing,
+/// the "VOS" seed, and dirty tracking off (harness methods are never
+/// consumed incrementally, so they keep the paper's bare O(1) update).
+core::VosConfig VosSketchConfig(const MethodFactoryConfig& config);
+
+/// The configuration of "VOS-sharded": VosSketchConfig's total memory
+/// and seed split across vos_shards shards (one shard is the identical
+/// sketch), with the factory's ingest settings.
+core::ShardedVosConfig ShardedVosSketchConfig(
+    const MethodFactoryConfig& config);
 
 /// The paper's four methods in the paper's plotting order.
 std::vector<std::string> PaperMethods();

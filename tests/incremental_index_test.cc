@@ -1,10 +1,13 @@
-// Tests for incremental index maintenance: SimilarityIndex::RefreshDirty
+// Tests for incremental snapshot maintenance: SimilarityIndex::RefreshDirty
 // must be bit-identical to a full Rebuild on the same sketch state — for
 // every dirty fraction (including the shared-cell contamination case,
 // where updates to NON-candidate users flip bits of clean candidates'
 // digests), every thread count, and across repeated refreshes — and
 // must fall back to a Rebuild whenever the sketch's flip log cannot
 // describe the change (overflow, MergeFrom, another consumer's clear).
+// Most cases drive the snapshot through the one-snapshot QueryPlanner
+// over a plain VosSketch (Refresh() is RefreshDirty() there), so the
+// refreshed and rebuilt snapshots are also compared by their answers.
 // VosSketch::UpdateBatch must leave the same sketch and bookkeeping as
 // the Update loop.
 
@@ -17,6 +20,7 @@
 #include <vector>
 
 #include "common/random.h"
+#include "core/query_planner.h"
 #include "core/similarity_index.h"
 #include "core/vos_drift.h"
 #include "core/vos_io.h"
@@ -54,12 +58,14 @@ VosSketch PopulatedSketch(const VosConfig& config, UserId users,
   return sketch;
 }
 
-/// Full bit-level equality of two index snapshots: candidate order,
+/// Full bit-level equality of two one-snapshot engines: candidate order,
 /// per-row digests, cardinality order, β, and the query results built
 /// from them.
-void ExpectIndexesIdentical(const SimilarityIndex& refreshed,
-                            const SimilarityIndex& rebuilt,
+void ExpectIndexesIdentical(const QueryPlanner& refreshed_engine,
+                            const QueryPlanner& rebuilt_engine,
                             const std::string& context) {
+  const SimilarityIndex& refreshed = refreshed_engine.shard_index(0);
+  const SimilarityIndex& rebuilt = rebuilt_engine.shard_index(0);
   ASSERT_EQ(refreshed.candidate_count(), rebuilt.candidate_count())
       << context;
   EXPECT_EQ(refreshed.snapshot_beta(), rebuilt.snapshot_beta()) << context;
@@ -76,8 +82,8 @@ void ExpectIndexesIdentical(const SimilarityIndex& refreshed,
         << context << " digest row at sorted position " << p;
   }
   // End-to-end: identical snapshots answer identically.
-  const auto pairs_a = refreshed.AllPairsAbove(0.2);
-  const auto pairs_b = rebuilt.AllPairsAbove(0.2);
+  const auto pairs_a = refreshed_engine.AllPairsAbove(0.2);
+  const auto pairs_b = rebuilt_engine.AllPairsAbove(0.2);
   ASSERT_EQ(pairs_a.size(), pairs_b.size()) << context;
   for (size_t i = 0; i < pairs_a.size(); ++i) {
     EXPECT_EQ(pairs_a[i].u, pairs_b[i].u) << context;
@@ -124,18 +130,18 @@ TEST(RefreshDirtyTest, BitIdenticalToRebuildAcrossDirtyFractionsAndThreads) {
     // fallback (covered by AdaptiveRefreshTest below) would otherwise
     // turn the 50%/100% rounds into plain Rebuilds.
     incremental_options.refresh_fallback_fraction = 2.0;
-    SimilarityIndex refreshed(sketch, {}, incremental_options);
+    QueryPlanner refreshed(sketch, {}, incremental_options);
     refreshed.Rebuild(candidates);
-    EXPECT_TRUE(refreshed.CanRefresh());
+    EXPECT_TRUE(refreshed.shard_index(0).CanRefresh());
 
     QueryOptions plain_options;
     plain_options.num_threads = threads;
-    SimilarityIndex rebuilt(sketch, {}, plain_options);
+    QueryPlanner rebuilt(sketch, {}, plain_options);
 
     ItemId next_item = 1 << 29;
     for (const double fraction : {0.0, 0.01, 0.5, 1.0}) {
       Churn(&sketch, candidates, fraction, &next_item);
-      EXPECT_TRUE(refreshed.RefreshDirty())
+      EXPECT_TRUE(refreshed.Refresh())
           << "fallback disabled yet RefreshDirty claims it rebuilt";
       rebuilt.Rebuild(candidates);
       ExpectIndexesIdentical(
@@ -155,16 +161,16 @@ TEST(AdaptiveRefreshTest, FallsBackToRebuildPastBreakEvenFraction) {
   QueryOptions options;
   options.num_threads = 1;
   options.incremental = true;  // default fallback fraction: 0.5
-  SimilarityIndex index(sketch, {}, options);
+  QueryPlanner index(sketch, {}, options);
   index.Rebuild(candidates);
-  SimilarityIndex rebuilt(sketch, {}, QueryOptions{});
+  QueryPlanner rebuilt(sketch, {}, QueryOptions{});
 
   // A handful of dirty candidates: well under the break-even, so the
   // incremental path must run.
   ItemId next_item = 1 << 29;
   sketch.Update({3, next_item++, Action::kInsert});
   sketch.Update({9, next_item++, Action::kInsert});
-  EXPECT_TRUE(index.RefreshDirty());
+  EXPECT_TRUE(index.Refresh());
   rebuilt.Rebuild(candidates);
   ExpectIndexesIdentical(index, rebuilt, "small dirty fraction");
 
@@ -173,14 +179,14 @@ TEST(AdaptiveRefreshTest, FallsBackToRebuildPastBreakEvenFraction) {
   for (UserId u = 0; u < 60; ++u) {
     sketch.Update({u, next_item++, Action::kInsert});
   }
-  EXPECT_FALSE(index.RefreshDirty());
+  EXPECT_FALSE(index.Refresh());
   rebuilt.Rebuild(candidates);
   ExpectIndexesIdentical(index, rebuilt, "full dirty fraction");
 
   // The fallback re-captures incremental state: refreshing again works.
   sketch.Update({5, next_item++, Action::kInsert});
-  EXPECT_TRUE(index.CanRefresh());
-  EXPECT_TRUE(index.RefreshDirty());
+  EXPECT_TRUE(index.shard_index(0).CanRefresh());
+  EXPECT_TRUE(index.Refresh());
   rebuilt.Rebuild(candidates);
   ExpectIndexesIdentical(index, rebuilt, "refresh after fallback");
 }
@@ -195,24 +201,24 @@ TEST(AdaptiveRefreshTest, FractionOverrideControlsTheBreakEven) {
   always_rebuild.num_threads = 1;
   always_rebuild.incremental = true;
   always_rebuild.refresh_fallback_fraction = 0.0;
-  SimilarityIndex eager(sketch, {}, always_rebuild);
+  QueryPlanner eager(sketch, {}, always_rebuild);
   eager.Rebuild(candidates);
   ItemId next_item = 1 << 29;
   sketch.Update({0, next_item++, Action::kInsert});
-  EXPECT_FALSE(eager.RefreshDirty());
+  EXPECT_FALSE(eager.Refresh());
   // Nothing affected is still a (trivial) incremental refresh.
-  EXPECT_TRUE(eager.RefreshDirty());
+  EXPECT_TRUE(eager.Refresh());
 
   // Above-one threshold: never falls back, even at 100% dirty.
   QueryOptions never_rebuild = always_rebuild;
   never_rebuild.refresh_fallback_fraction = 1.5;
-  SimilarityIndex sticky(sketch, {}, never_rebuild);
+  QueryPlanner sticky(sketch, {}, never_rebuild);
   sticky.Rebuild(candidates);
   for (UserId u = 0; u < 30; ++u) {
     sketch.Update({u, next_item++, Action::kInsert});
   }
-  EXPECT_TRUE(sticky.RefreshDirty());
-  SimilarityIndex rebuilt(sketch, {}, QueryOptions{});
+  EXPECT_TRUE(sticky.Refresh());
+  QueryPlanner rebuilt(sketch, {}, QueryOptions{});
   rebuilt.Rebuild(candidates);
   ExpectIndexesIdentical(sticky, rebuilt, "forced incremental at 100%");
 }
@@ -224,10 +230,10 @@ TEST(RefreshDirtyTest, NoChangesIsANoOpSnapshot) {
   QueryOptions options;
   options.num_threads = 1;
   options.incremental = true;
-  SimilarityIndex index(sketch, {}, options);
+  QueryPlanner index(sketch, {}, options);
   index.Rebuild(candidates);
   const auto before = index.AllPairsAbove(0.1);
-  index.RefreshDirty();  // nothing changed since Rebuild
+  index.Refresh();  // nothing changed since Rebuild
   const auto after = index.AllPairsAbove(0.1);
   ASSERT_EQ(before.size(), after.size());
   for (size_t i = 0; i < before.size(); ++i) {
@@ -247,15 +253,15 @@ TEST(RefreshDirtyTest, CardinalityOnlyChangesReorderCorrectly) {
   QueryOptions options;
   options.num_threads = 1;
   options.incremental = true;
-  SimilarityIndex refreshed(sketch, {}, options);
+  QueryPlanner refreshed(sketch, {}, options);
   refreshed.Rebuild(candidates);
-  SimilarityIndex rebuilt(sketch, {}, QueryOptions{});
+  QueryPlanner rebuilt(sketch, {}, QueryOptions{});
 
   for (ItemId item = 0; item < 500; ++item) {
     sketch.Update({7, static_cast<ItemId>((1 << 27) + item),
                    Action::kInsert});
   }
-  refreshed.RefreshDirty();
+  refreshed.Refresh();
   rebuilt.Rebuild(candidates);
   ExpectIndexesIdentical(refreshed, rebuilt, "cardinality jump");
 }
@@ -269,6 +275,26 @@ TEST(RefreshDirtyTest, RequiresIncrementalOptionAndPriorRebuild) {
   SimilarityIndex plain(sketch, {}, QueryOptions{});
   plain.Rebuild({0, 1, 2});
   EXPECT_FALSE(plain.CanRefresh());  // incremental off
+}
+
+/// The patch encodings are uint32: a snapshot with more than 2^32 − 1
+/// candidate-bits, or over an array past the flip log's cell range,
+/// refreshes by rebuilding instead of aborting. Building one needs
+/// ≥ 512 MiB of digests, so the limit itself is checked at small k.
+TEST(RefreshDirtyTest, PatchableStopsAtTheUint32Limits) {
+  VosConfig config = SmallConfig();
+  config.k = 1;
+  EXPECT_TRUE(SimilarityIndex::Patchable(0xffffffff, config));
+  config.k = 2;
+  EXPECT_TRUE(SimilarityIndex::Patchable(0x7fffffff, config));
+  EXPECT_FALSE(SimilarityIndex::Patchable(0x80000000, config));
+  config.k = 3;
+  EXPECT_TRUE(SimilarityIndex::Patchable(0x55555555, config));
+  EXPECT_FALSE(SimilarityIndex::Patchable(0x55555556, config));
+  config.m = uint64_t{1} << 32;
+  EXPECT_TRUE(SimilarityIndex::Patchable(10, config));
+  config.m = (uint64_t{1} << 32) + 1;
+  EXPECT_FALSE(SimilarityIndex::Patchable(10, config));
 }
 
 /// A non-candidate flips a cell that shares a 64-bit array word with
@@ -302,21 +328,22 @@ TEST(RefreshDirtyTest, OwnersSharingAWordPatchOnlyTheFlippedCell) {
   QueryOptions options;
   options.num_threads = 1;
   options.incremental = true;
-  SimilarityIndex refreshed(sketch, {}, options);
+  QueryPlanner refreshed(sketch, {}, options);
   refreshed.Rebuild(candidates);
-  const DigestMatrix before = refreshed.matrix();
+  const DigestMatrix before = refreshed.shard_index(0).matrix();
 
   sketch.Update({background, item, Action::kInsert});
   ASSERT_EQ(sketch.flip_log().size(), 1u);
-  EXPECT_TRUE(refreshed.RefreshDirty());
-  EXPECT_EQ(refreshed.last_refresh_dirty_fraction(), 0.0);
+  EXPECT_TRUE(refreshed.Refresh());
+  EXPECT_EQ(refreshed.shard_index(0).last_refresh_dirty_fraction(), 0.0);
   for (size_t p = 0; p < before.rows(); ++p) {
-    ASSERT_EQ(std::memcmp(before.Row(p), refreshed.matrix().Row(p),
+    ASSERT_EQ(std::memcmp(before.Row(p),
+                          refreshed.shard_index(0).matrix().Row(p),
                           before.words_per_row() * sizeof(uint64_t)),
               0)
         << "row " << p;
   }
-  SimilarityIndex rebuilt(sketch, {}, QueryOptions{});
+  QueryPlanner rebuilt(sketch, {}, QueryOptions{});
   rebuilt.Rebuild(candidates);
   ExpectIndexesIdentical(refreshed, rebuilt, "word-sharing flip");
 }
@@ -452,21 +479,21 @@ TEST(RefreshDirtyTest, LogOverflowFallsBackToRebuild) {
   options.num_threads = 1;
   options.incremental = true;
   options.refresh_fallback_fraction = 2.0;
-  SimilarityIndex refreshed(sketch, {}, options);
+  QueryPlanner refreshed(sketch, {}, options);
   refreshed.Rebuild(candidates);
-  SimilarityIndex rebuilt(sketch, {}, QueryOptions{});
+  QueryPlanner rebuilt(sketch, {}, QueryOptions{});
 
   ItemId next_item = 1 << 29;
   for (size_t i = 0; i <= sketch.flip_log_capacity(); ++i) {
     sketch.Update({119, next_item++, Action::kInsert});  // non-candidate
   }
   ASSERT_TRUE(sketch.flip_log_overflowed());
-  EXPECT_FALSE(refreshed.RefreshDirty());
+  EXPECT_FALSE(refreshed.Refresh());
   rebuilt.Rebuild(candidates);
   ExpectIndexesIdentical(refreshed, rebuilt, "overflowed log");
 
   sketch.Update({4, next_item++, Action::kInsert});
-  EXPECT_TRUE(refreshed.RefreshDirty());
+  EXPECT_TRUE(refreshed.Refresh());
   rebuilt.Rebuild(candidates);
   ExpectIndexesIdentical(refreshed, rebuilt, "refresh after overflow");
 }
@@ -480,15 +507,15 @@ TEST(RefreshDirtyTest, MergeFromFallsBackToRebuild) {
   options.num_threads = 1;
   options.incremental = true;
   options.refresh_fallback_fraction = 2.0;
-  SimilarityIndex refreshed(sketch, {}, options);
+  QueryPlanner refreshed(sketch, {}, options);
   refreshed.Rebuild(candidates);
 
   VosSketch other(config, 60);
   other.Update({7, 1 << 29, Action::kInsert});
   other.Update({8, (1 << 29) + 1, Action::kInsert});
   sketch.MergeFrom(other);
-  EXPECT_FALSE(refreshed.RefreshDirty());
-  SimilarityIndex rebuilt(sketch, {}, QueryOptions{});
+  EXPECT_FALSE(refreshed.Refresh());
+  QueryPlanner rebuilt(sketch, {}, QueryOptions{});
   rebuilt.Rebuild(candidates);
   ExpectIndexesIdentical(refreshed, rebuilt, "after MergeFrom");
 }
@@ -503,18 +530,19 @@ TEST(RefreshDirtyTest, SameCellDoubleFlipsPatchNothing) {
   QueryOptions options;
   options.num_threads = 1;
   options.incremental = true;
-  SimilarityIndex refreshed(sketch, {}, options);
+  QueryPlanner refreshed(sketch, {}, options);
   refreshed.Rebuild(candidates);
-  const DigestMatrix before = refreshed.matrix();
+  const DigestMatrix before = refreshed.shard_index(0).matrix();
 
   const ItemId item = 1 << 29;
   sketch.Update({59, item, Action::kInsert});  // non-candidate
   sketch.Update({59, item, Action::kDelete});
   ASSERT_EQ(sketch.flip_log().size(), 2u);
-  EXPECT_TRUE(refreshed.RefreshDirty());
-  EXPECT_EQ(refreshed.last_refresh_dirty_fraction(), 0.0);
+  EXPECT_TRUE(refreshed.Refresh());
+  EXPECT_EQ(refreshed.shard_index(0).last_refresh_dirty_fraction(), 0.0);
   for (size_t p = 0; p < before.rows(); ++p) {
-    ASSERT_EQ(std::memcmp(before.Row(p), refreshed.matrix().Row(p),
+    ASSERT_EQ(std::memcmp(before.Row(p),
+                          refreshed.shard_index(0).matrix().Row(p),
                           before.words_per_row() * sizeof(uint64_t)),
               0)
         << "row " << p;
@@ -524,12 +552,13 @@ TEST(RefreshDirtyTest, SameCellDoubleFlipsPatchNothing) {
   while (sketch.BucketOf(twin) != sketch.BucketOf(item)) ++twin;
   sketch.Update({6, item, Action::kInsert});
   sketch.Update({6, twin, Action::kInsert});
-  EXPECT_TRUE(refreshed.RefreshDirty());
-  EXPECT_EQ(refreshed.last_refresh_dirty_fraction(), 1.0 / 40);
-  SimilarityIndex rebuilt(sketch, {}, QueryOptions{});
+  EXPECT_TRUE(refreshed.Refresh());
+  EXPECT_EQ(refreshed.shard_index(0).last_refresh_dirty_fraction(), 1.0 / 40);
+  QueryPlanner rebuilt(sketch, {}, QueryOptions{});
   rebuilt.Rebuild(candidates);
   ExpectIndexesIdentical(refreshed, rebuilt, "same-psi pair");
-  EXPECT_EQ(refreshed.row_cardinalities(), rebuilt.row_cardinalities());
+  EXPECT_EQ(refreshed.shard_index(0).row_cardinalities(),
+            rebuilt.shard_index(0).row_cardinalities());
 }
 
 /// Two incremental consumers of one sketch: the first one's refresh
@@ -542,8 +571,8 @@ TEST(RefreshDirtyTest, SecondConsumerSeesCardinalityOnlyChange) {
   QueryOptions options;
   options.num_threads = 1;
   options.incremental = true;
-  SimilarityIndex first(sketch, {}, options);
-  SimilarityIndex second(sketch, {}, options);
+  QueryPlanner first(sketch, {}, options);
+  QueryPlanner second(sketch, {}, options);
   first.Rebuild(candidates);
   second.Rebuild(candidates);
 
@@ -552,16 +581,18 @@ TEST(RefreshDirtyTest, SecondConsumerSeesCardinalityOnlyChange) {
   while (sketch.BucketOf(twin) != sketch.BucketOf(item)) ++twin;
   sketch.Update({11, item, Action::kInsert});
   sketch.Update({11, twin, Action::kInsert});
-  first.RefreshDirty();
-  EXPECT_FALSE(second.RefreshDirty())
+  first.Refresh();
+  EXPECT_FALSE(second.Refresh())
       << "another consumer's clear invalidates this index's log";
 
-  SimilarityIndex rebuilt(sketch, {}, QueryOptions{});
+  QueryPlanner rebuilt(sketch, {}, QueryOptions{});
   rebuilt.Rebuild(candidates);
   ExpectIndexesIdentical(second, rebuilt, "second consumer");
-  EXPECT_EQ(second.row_cardinalities(), rebuilt.row_cardinalities());
+  EXPECT_EQ(second.shard_index(0).row_cardinalities(),
+            rebuilt.shard_index(0).row_cardinalities());
   ExpectIndexesIdentical(first, rebuilt, "first consumer");
-  EXPECT_EQ(first.row_cardinalities(), rebuilt.row_cardinalities());
+  EXPECT_EQ(first.shard_index(0).row_cardinalities(),
+            rebuilt.shard_index(0).row_cardinalities());
 }
 
 // ------------------------------------------------------ VosDrift batching

@@ -2,14 +2,19 @@
 // build must satisfy the same behavioural contract. Parameterized over all
 // registered method names — so adding a method to the factory
 // automatically subjects it to this suite — plus a dedicated
-// "VOS-sharded" configuration matrix (shards × ingest threads × planner
-// mode), so the sharded engine honours the contract in every pipeline
-// mode, not just the factory default.
+// "VOS-sharded" configuration matrix (shards × ingest threads × dirty
+// tracking), so the sharded engine honours the contract in every pipeline
+// mode, not just the factory default. With dirty tracking on, the query
+// snapshot behind PrepareQuery refreshes incrementally; the factory always
+// builds VOS methods with tracking off, so those cases are constructed
+// directly.
 
 #include <gtest/gtest.h>
 
 #include <memory>
 
+#include "core/sharded_vos_method.h"
+#include "core/vos_method.h"
 #include "harness/method_factory.h"
 #include "stream/dataset.h"
 
@@ -33,12 +38,13 @@ MethodFactoryConfig SmallFactory() {
 }
 
 /// One conformance case: a factory method name plus the factory knobs it
-/// runs under (only "VOS-sharded" varies them).
+/// runs under (only the VOS methods vary them).
 struct MethodCase {
   std::string name;
   uint32_t vos_shards = 4;
   unsigned ingest_threads = 0;
-  bool query_shards_local = false;
+  /// VosConfig::track_dirty: the method's query snapshot is incremental.
+  bool track_dirty = false;
   std::string label;  ///< gtest-safe test-name suffix
 };
 
@@ -56,25 +62,29 @@ std::vector<MethodCase> DefaultCases() {
   return cases;
 }
 
-/// The sharded contract matrix: shards ∈ {1, 4} × ingest_threads ∈ {0, 2},
-/// plus the shard-local planner query tier on the fully sharded +
-/// threaded configuration.
+/// The sharded contract matrix: shards ∈ {1, 4} × ingest_threads ∈ {0, 2}
+/// × track_dirty ∈ {off, on}, plus "VOS" with dirty tracking on.
 std::vector<MethodCase> ShardedMatrixCases() {
   std::vector<MethodCase> cases;
   for (const uint32_t shards : {1u, 4u}) {
     for (const unsigned threads : {0u, 2u}) {
-      for (const bool planner : {false, true}) {
+      for (const bool track_dirty : {false, true}) {
         MethodCase c;
         c.name = "VOS-sharded";
         c.vos_shards = shards;
         c.ingest_threads = threads;
-        c.query_shards_local = planner;
+        c.track_dirty = track_dirty;
         c.label = "VOS_sharded_s" + std::to_string(shards) + "_t" +
-                  std::to_string(threads) + (planner ? "_planner" : "");
+                  std::to_string(threads) + (track_dirty ? "_dirty" : "");
         cases.push_back(std::move(c));
       }
     }
   }
+  MethodCase vos;
+  vos.name = "VOS";
+  vos.track_dirty = true;
+  vos.label = "VOS_dirty";
+  cases.push_back(std::move(vos));
   return cases;
 }
 
@@ -84,7 +94,21 @@ class MethodConformanceTest : public ::testing::TestWithParam<MethodCase> {
     MethodFactoryConfig config = SmallFactory();
     config.vos_shards = GetParam().vos_shards;
     config.ingest_threads = GetParam().ingest_threads;
-    config.query_shards_local = GetParam().query_shards_local;
+    if (GetParam().track_dirty) {
+      // The factory's configuration with only the dirty tracking flipped.
+      const auto users = static_cast<UserId>(config.num_users);
+      core::VosEstimatorOptions options;
+      options.clamp_to_feasible = config.clamp;
+      if (GetParam().name == "VOS") {
+        core::VosConfig vos = VosSketchConfig(config);
+        vos.track_dirty = true;
+        return std::make_unique<core::VosMethod>(vos, users, options);
+      }
+      core::ShardedVosConfig sharded = ShardedVosSketchConfig(config);
+      sharded.base.track_dirty = true;
+      return std::make_unique<core::ShardedVosMethod>(sharded, users,
+                                                      options);
+    }
     auto method = CreateMethod(GetParam().name, config);
     VOS_CHECK(method.ok()) << method.status().ToString();
     return *std::move(method);
@@ -203,6 +227,20 @@ TEST_P(MethodConformanceTest, PrepareQueryDoesNotChangeEstimates) {
   EXPECT_DOUBLE_EQ(plain.common, cached.common);
   EXPECT_DOUBLE_EQ(plain.jaccard, cached.jaccard);
   EXPECT_DOUBLE_EQ(plain.common, invalidated.common);
+
+  // The next checkpoint over the same tracked set (an incremental refresh
+  // where the method keeps one) agrees with the uncached estimate too.
+  for (ItemId i = 0; i < 50; ++i) {
+    method->Update({1, i, Action::kDelete});
+    method->Update({2, 20000 + i, Action::kInsert});
+  }
+  ASSERT_TRUE(method->FlushIngest().ok());
+  const PairEstimate plain_next = method->EstimatePair(0, 1);
+  method->PrepareQuery({0, 1});
+  const PairEstimate cached_next = method->EstimatePair(0, 1);
+  EXPECT_DOUBLE_EQ(plain_next.common, cached_next.common);
+  EXPECT_DOUBLE_EQ(plain_next.jaccard, cached_next.jaccard);
+  method->InvalidateQueryCache();
 }
 
 TEST_P(MethodConformanceTest, DeterministicAcrossInstances) {

@@ -1,17 +1,14 @@
 // Tests for the shared tiled pair-scan tier (core/pair_scan.h).
 //
 // The tier's contract: the tiled path is bit-identical to the scalar
-// references in both call sites — SimilarityIndex::AllPairsAbove and
-// QueryPlanner::AllPairsAbove — for every tile size (1 row, the adaptive
-// default, whole-pass), thread count, shard count and prefilter setting.
-// Tiles repartition the enumeration; they must never change a single bit
-// of the output.
+// reference at its one call site, QueryPlanner::AllPairsAbove — over a
+// plain VosSketch and over S-shard ShardedVosSketches — for every tile
+// size (1 row, the adaptive default, whole-pass), thread count, shard
+// count and prefilter setting. Tiles repartition the enumeration; they
+// must never change a single bit of the output.
 //
 // Also covered: the window-pair counts (core/query_optimizer.h) against
-// brute force, the adaptive tile-size bounds, and the TopK warm-start
-// (explicit seed and planner-held), which must be bit-identical to a
-// cold start whether the seed is loose, exact, or over-tight (the
-// over-pruned case must fall back to a cold rerun).
+// brute force, the adaptive tile-size bounds, and VosMethod::MakeIndex.
 
 #include <gtest/gtest.h>
 
@@ -25,7 +22,6 @@
 #include "core/query_planner.h"
 #include "core/scan_common.h"
 #include "core/sharded_vos_sketch.h"
-#include "core/similarity_index.h"
 #include "core/vos_method.h"
 #include "core/vos_sketch.h"
 
@@ -79,9 +75,8 @@ ShardedVosConfig PlannerConfig(uint32_t shards) {
   return config;
 }
 
-template <typename PairT>
-void ExpectPairsIdentical(const std::vector<PairT>& got,
-                          const std::vector<PairT>& want,
+void ExpectPairsIdentical(const std::vector<QueryPlanner::Pair>& got,
+                          const std::vector<QueryPlanner::Pair>& want,
                           const std::string& context) {
   ASSERT_EQ(got.size(), want.size()) << context;
   for (size_t i = 0; i < got.size(); ++i) {
@@ -92,21 +87,10 @@ void ExpectPairsIdentical(const std::vector<PairT>& got,
   }
 }
 
-void ExpectEntriesIdentical(const std::vector<scan::Entry>& got,
-                            const std::vector<scan::Entry>& want,
-                            const std::string& context) {
-  ASSERT_EQ(got.size(), want.size()) << context;
-  for (size_t i = 0; i < got.size(); ++i) {
-    EXPECT_EQ(got[i].user, want[i].user) << context << " entry " << i;
-    EXPECT_EQ(got[i].common, want[i].common) << context << " entry " << i;
-    EXPECT_EQ(got[i].jaccard, want[i].jaccard) << context << " entry " << i;
-  }
-}
-
-/// The acceptance matrix on the single global index: tile sizes
+/// The acceptance matrix on the engine over a plain VosSketch: tile sizes
 /// {1 row, tier default, whole-pass} × threads {1, 8} × prefilter
 /// {on, off}, all bit-identical to the scalar reference.
-TEST(PairScanTest, IndexBitIdenticalAcrossTileSizesThreadsPrefilter) {
+TEST(PairScanTest, PlainSketchBitIdenticalAcrossTileSizesThreadsPrefilter) {
   const UserId users = 90;
   const std::vector<Element> elements = CommunityStream(users, 60, 3);
   VosSketch sketch(IndexConfig(), users);
@@ -114,9 +98,9 @@ TEST(PairScanTest, IndexBitIdenticalAcrossTileSizesThreadsPrefilter) {
   std::vector<UserId> candidates;
   for (UserId u = 0; u < users; ++u) candidates.push_back(u);
 
-  std::vector<SimilarityIndex::Pair> reference;
+  std::vector<QueryPlanner::Pair> reference;
   {
-    SimilarityIndex probe(sketch);
+    QueryPlanner probe(sketch);
     probe.Rebuild(candidates);
     reference = probe.AllPairsAboveReference(0.4);
   }
@@ -129,9 +113,9 @@ TEST(PairScanTest, IndexBitIdenticalAcrossTileSizesThreadsPrefilter) {
         options.tile_rows = tile_rows;
         options.num_threads = threads;
         options.prefilter = prefilter;
-        SimilarityIndex index(sketch, {}, options);
-        index.Rebuild(candidates);
-        ExpectPairsIdentical(index.AllPairsAbove(0.4), reference,
+        QueryPlanner planner(sketch, {}, options);
+        planner.Rebuild(candidates);
+        ExpectPairsIdentical(planner.AllPairsAbove(0.4), reference,
                              "tile_rows=" + std::to_string(tile_rows) +
                                  " threads=" + std::to_string(threads) +
                                  " prefilter=" + std::to_string(prefilter));
@@ -140,9 +124,9 @@ TEST(PairScanTest, IndexBitIdenticalAcrossTileSizesThreadsPrefilter) {
   }
 }
 
-/// The acceptance matrix on the planner: tile sizes {1 row, default,
-/// whole-pass} × threads {1, 8} × S ∈ {1, 4}, bit-identical to the
-/// per-pair EstimatePair reference (same-shard AND cross-shard passes go
+/// The acceptance matrix on the sharded engine: tile sizes {1 row,
+/// default, whole-pass} × threads {1, 8} × S ∈ {1, 2, 4}, bit-identical
+/// to the per-pair reference (same-shard AND cross-shard passes go
 /// through the tier's triangle and rectangle tiles respectively).
 TEST(PairScanTest, PlannerBitIdenticalAcrossTileSizesThreadsShards) {
   const UserId users = 72;
@@ -150,7 +134,7 @@ TEST(PairScanTest, PlannerBitIdenticalAcrossTileSizesThreadsShards) {
   std::vector<UserId> candidates;
   for (UserId u = 0; u < users; ++u) candidates.push_back(u);
 
-  for (const uint32_t shards : {1u, 4u}) {
+  for (const uint32_t shards : {1u, 2u, 4u}) {
     ShardedVosSketch sketch(PlannerConfig(shards), users);
     sketch.UpdateBatch(elements.data(), elements.size());
     std::vector<QueryPlanner::Pair> reference;
@@ -250,124 +234,27 @@ TEST(PairScanTest, AdaptiveTileRowsBoundedAlignedMonotone) {
   }
 }
 
-/// The factory-knob path into the tier: VosMethod::MakeIndex must build
-/// its snapshot with the method's QueryOptions, so a tile_rows configured
-/// at construction governs the scan (and stays bit-identical).
-TEST(PairScanTest, VosMethodMakeIndexHonorsTileRows) {
+/// VosMethod::MakeIndex hands out the one query engine over the method's
+/// sketch, snapshotted with the method's SetQueryThreads worker count and
+/// never incremental (the method's own snapshot owns the dirty set).
+TEST(PairScanTest, VosMethodMakeIndexFollowsQueryThreads) {
   const UserId users = 64;
   const std::vector<Element> elements = CommunityStream(users, 50, 27);
   std::vector<UserId> candidates;
   for (UserId u = 0; u < users; ++u) candidates.push_back(u);
 
-  QueryOptions tiled_options;
-  tiled_options.tile_rows = 7;  // deliberately odd: many partial tiles
-  VosMethod tiled_method(IndexConfig(), users, {}, tiled_options);
-  VosMethod plain_method(IndexConfig(), users);
-  for (const Element& e : elements) {
-    tiled_method.Update(e);
-    plain_method.Update(e);
-  }
-
-  const auto plain = plain_method.MakeIndex(candidates);
-  const auto exact_pairs = plain->AllPairsAbove(0.4);
-  ASSERT_FALSE(exact_pairs.empty());
-
-  const auto tiled = tiled_method.MakeIndex(candidates);
-  EXPECT_EQ(tiled->query_options().tile_rows, 7u);
-  ExpectPairsIdentical(tiled->AllPairsAbove(0.4), exact_pairs,
-                       "MakeIndex tile_rows=7");
-}
-
-// ------------------------------------------------- TopK warm start
-
-/// Explicit warm seeds — loose, exact (the true k-th best), and
-/// over-tight (forces the verified cold rerun) — must all return results
-/// bit-identical to a cold start.
-TEST(PairScanTest, TopKWarmThresholdIdenticalToColdStart) {
-  const UserId users = 72;
-  const std::vector<Element> elements = CommunityStream(users, 50, 23);
-  ShardedVosSketch sketch(PlannerConfig(4), users);
-  sketch.UpdateBatch(elements.data(), elements.size());
-  std::vector<UserId> candidates;
-  for (UserId u = 0; u < users; ++u) candidates.push_back(u);
-
-  QueryPlanner cold(sketch);
-  cold.Rebuild(candidates);
-  const size_t k = 8;
-  const UserId query = 0;
-  const auto cold_result = cold.TopK(query, k);
-  ASSERT_EQ(cold_result.size(), k);
-  const double kth_best = cold_result.back().jaccard;
-
-  for (const double seed : {0.01, kth_best, 0.99}) {
-    for (const unsigned threads : {1u, 8u}) {
-      QueryOptions options;
-      options.topk_warm_threshold = seed;
-      options.num_threads = threads;
-      QueryPlanner warm(sketch, {}, options);
-      warm.Rebuild(candidates);
-      ExpectEntriesIdentical(warm.TopK(query, k), cold_result,
-                             "seed=" + std::to_string(seed) +
-                                 " threads=" + std::to_string(threads));
-    }
-  }
-}
-
-/// Planner-held warm start (QueryOptions::topk_warm_start): the second
-/// call seeds from the first's k-th best and must stay bit-identical —
-/// including after churn drives the data below the remembered bound
-/// (the verification catches the over-prune and reruns cold).
-TEST(PairScanTest, TopKPlannerWarmStartIdenticalAcrossCheckpoints) {
-  const UserId users = 72;
-  const std::vector<Element> elements = CommunityStream(users, 50, 25);
-  ShardedVosConfig config = PlannerConfig(4);
-  config.base.track_dirty = true;
-  ShardedVosSketch sketch(config, users);
-  sketch.UpdateBatch(elements.data(), elements.size());
-  std::vector<UserId> candidates;
-  for (UserId u = 0; u < users; ++u) candidates.push_back(u);
-
-  QueryOptions warm_options;
-  warm_options.topk_warm_start = true;
-  warm_options.incremental = true;
-  QueryPlanner warm(sketch, {}, warm_options);
-  warm.Rebuild(candidates);
-
-  QueryOptions cold_options;
-  cold_options.incremental = true;
-  QueryPlanner cold(sketch, {}, cold_options);
-  cold.Rebuild(candidates);
-
-  const size_t k = 6;
-  const UserId query = 1;  // clustered: has strong planted neighbours
-  // First call is cold inside the warm planner; second is warm-seeded.
-  ExpectEntriesIdentical(warm.TopK(query, k), cold.TopK(query, k),
-                         "checkpoint 0");
-  ExpectEntriesIdentical(warm.TopK(query, k), cold.TopK(query, k),
-                         "checkpoint 0 warm rerun");
-  // Mixed query set: a disjoint (low-similarity) user and a different k
-  // interleaved with the strong query — bounds are keyed per (query, k),
-  // so neither may inherit the other's remembered k-th best.
-  const UserId weak_query = 2;  // not clustered: every neighbour is noise
-  ExpectEntriesIdentical(warm.TopK(weak_query, k), cold.TopK(weak_query, k),
-                         "checkpoint 0 weak query");
-  ExpectEntriesIdentical(warm.TopK(query, 2 * k), cold.TopK(query, 2 * k),
-                         "checkpoint 0 larger k");
-  ExpectEntriesIdentical(warm.TopK(query, k), cold.TopK(query, k),
-                         "checkpoint 0 strong query after weak");
-
-  // Drift the data DOWN: the query's best neighbour loses its shared
-  // items, so the remembered k-th best over-prunes and the warm call
-  // must detect it and rerun cold.
-  ItemId next_item = 1 << 29;
-  for (uint32_t c = 0; c < 40; ++c) {
-    sketch.Update({query, (query / 4) * 100000u + c, Action::kDelete});
-    sketch.Update({query, next_item++, Action::kInsert});
-  }
-  warm.Refresh();
-  cold.Refresh();
-  ExpectEntriesIdentical(warm.TopK(query, k), cold.TopK(query, k),
-                         "checkpoint 1 (drift below the warm bound)");
+  VosMethod method(IndexConfig(), users);
+  for (const Element& e : elements) method.Update(e);
+  method.SetQueryThreads(3);
+  const auto engine = method.MakeIndex(candidates);
+  EXPECT_EQ(engine->query_options().num_threads, 3u);
+  // One snapshot: its builds get the engine's workers.
+  EXPECT_EQ(engine->shard_index(0).query_options().num_threads, 3u);
+  EXPECT_FALSE(engine->query_options().incremental);
+  const auto pairs = engine->AllPairsAbove(0.4);
+  ASSERT_FALSE(pairs.empty());
+  ExpectPairsIdentical(pairs, engine->AllPairsAboveReference(0.4),
+                       "MakeIndex engine");
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
-// Tests for the batch query engine: the word-span popcount kernels,
-// DigestMatrix extraction, and the SimilarityIndex batch paths, which must
-// be bit-identical to the scalar reference implementation for every thread
-// count, block size, and prefilter setting.
+// Tests for the query engine over one snapshot: the word-span popcount
+// kernels, DigestMatrix extraction, and QueryPlanner over a plain
+// VosSketch, whose batch paths must be bit-identical to the scalar
+// reference for every thread count and prefilter setting.
 
 #include <gtest/gtest.h>
 
@@ -11,7 +11,7 @@
 #include "common/popcount.h"
 #include "common/random.h"
 #include "core/digest_matrix.h"
-#include "core/similarity_index.h"
+#include "core/query_planner.h"
 #include "core/vos_method.h"
 #include "core/vos_sketch.h"
 
@@ -148,8 +148,8 @@ TEST(DigestMatrixTest, EmptyAndClear) {
 
 // ----------------------------------------------------- batch vs reference
 
-void ExpectEntriesIdentical(const std::vector<SimilarityIndex::Entry>& a,
-                            const std::vector<SimilarityIndex::Entry>& b) {
+void ExpectEntriesIdentical(const std::vector<QueryPlanner::Entry>& a,
+                            const std::vector<QueryPlanner::Entry>& b) {
   ASSERT_EQ(a.size(), b.size());
   for (size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].user, b[i].user) << "entry " << i;
@@ -158,8 +158,8 @@ void ExpectEntriesIdentical(const std::vector<SimilarityIndex::Entry>& a,
   }
 }
 
-void ExpectPairsIdentical(const std::vector<SimilarityIndex::Pair>& a,
-                          const std::vector<SimilarityIndex::Pair>& b) {
+void ExpectPairsIdentical(const std::vector<QueryPlanner::Pair>& a,
+                          const std::vector<QueryPlanner::Pair>& b) {
   ASSERT_EQ(a.size(), b.size());
   for (size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].u, b[i].u) << "pair " << i;
@@ -169,86 +169,83 @@ void ExpectPairsIdentical(const std::vector<SimilarityIndex::Pair>& a,
   }
 }
 
-TEST(SimilarityIndexBatchTest, TopKIdenticalToReferenceAcrossThreadCounts) {
+TEST(OneSnapshotEngineTest, TopKIdenticalToReferenceAcrossThreadCounts) {
+  // 600 rows: 2 and 8 threads split the one snapshot into row chunks.
   const VosSketch sketch =
-      PopulatedSketch(TestConfig(512, 1 << 15, 17), 60, 80, 21);
+      PopulatedSketch(TestConfig(512, 1 << 15, 17), 600, 80, 21);
   for (unsigned threads : {1u, 2u, 8u}) {
-    for (size_t block : {1u, 7u, 128u}) {
-      QueryOptions options;
-      options.num_threads = threads;
-      options.block_size = block;
-      SimilarityIndex index(sketch, {}, options);
-      index.Rebuild(AllUsers(60));
-      for (UserId query : {0u, 1u, 59u}) {  // candidates
-        ExpectEntriesIdentical(index.TopK(query, 10),
-                               index.TopKReference(query, 10));
-      }
-      // Full ranking, and k beyond the candidate count.
-      ExpectEntriesIdentical(index.TopK(0, 1000),
-                             index.TopKReference(0, 1000));
+    QueryOptions options;
+    options.num_threads = threads;
+    QueryPlanner engine(sketch, {}, options);
+    engine.Rebuild(AllUsers(600));
+    for (UserId query : {0u, 1u, 599u}) {  // candidates
+      ExpectEntriesIdentical(engine.TopK(query, 10),
+                             engine.TopKReference(query, 10));
     }
+    // Full ranking, and k beyond the candidate count.
+    ExpectEntriesIdentical(engine.TopK(0, 1000),
+                           engine.TopKReference(0, 1000));
   }
 }
 
-TEST(SimilarityIndexBatchTest, TopKNonCandidateQueryExtractsLive) {
+TEST(OneSnapshotEngineTest, TopKNonCandidateQueryExtractsLive) {
   const VosSketch sketch =
       PopulatedSketch(TestConfig(512, 1 << 15, 19), 40, 60, 23);
-  SimilarityIndex index(sketch);
-  index.Rebuild(AllUsers(20));  // users 20..39 are not candidates
-  ExpectEntriesIdentical(index.TopK(25, 8), index.TopKReference(25, 8));
-  EXPECT_EQ(index.TopK(25, 8).size(), 8u);
+  QueryPlanner engine(sketch);
+  engine.Rebuild(AllUsers(20));  // users 20..39 are not candidates
+  ExpectEntriesIdentical(engine.TopK(25, 8), engine.TopKReference(25, 8));
+  EXPECT_EQ(engine.TopK(25, 8).size(), 8u);
 }
 
-TEST(SimilarityIndexBatchTest, TopKReusesSnapshotRowForCandidateQuery) {
+TEST(OneSnapshotEngineTest, TopKReusesSnapshotRowForCandidateQuery) {
   VosSketch sketch(TestConfig(2048, 1 << 16, 29), 4);
   for (ItemId i = 0; i < 50; ++i) {
     sketch.Update({0, i, Action::kInsert});
     sketch.Update({1, i, Action::kInsert});
   }
-  SimilarityIndex index(sketch);
-  index.Rebuild({0, 1});
-  const double before = index.TopK(0, 1)[0].jaccard;
+  QueryPlanner engine(sketch);
+  engine.Rebuild({0, 1});
+  const double before = engine.TopK(0, 1)[0].jaccard;
   EXPECT_GT(before, 0.8);
 
   // Mutate the sketch: user 0 (the query!) unsubscribes everything. With
-  // snapshot row reuse the answer must not move until Rebuild.
+  // snapshot row reuse the answer — TopK and the per-pair estimate alike
+  // — must not move until Rebuild.
   for (ItemId i = 0; i < 50; ++i) sketch.Update({0, i, Action::kDelete});
-  EXPECT_EQ(index.TopK(0, 1)[0].jaccard, before);
-  index.Rebuild({0, 1});
-  EXPECT_LT(index.TopK(0, 1)[0].jaccard, 0.25);
+  EXPECT_EQ(engine.TopK(0, 1)[0].jaccard, before);
+  EXPECT_EQ(engine.EstimatePair(0, 1).jaccard, before);
+  engine.Rebuild({0, 1});
+  EXPECT_LT(engine.TopK(0, 1)[0].jaccard, 0.25);
 }
 
-TEST(SimilarityIndexBatchTest, AllPairsIdenticalAcrossThreadsAndBlocks) {
+TEST(OneSnapshotEngineTest, AllPairsIdenticalAcrossThreads) {
   const VosSketch sketch =
       PopulatedSketch(TestConfig(512, 1 << 15, 31), 60, 80, 37);
   QueryOptions reference_options;
   reference_options.num_threads = 1;
-  SimilarityIndex reference_index(sketch, {}, reference_options);
-  reference_index.Rebuild(AllUsers(60));
+  QueryPlanner reference_engine(sketch, {}, reference_options);
+  reference_engine.Rebuild(AllUsers(60));
 
   for (double tau : {0.0, 0.2, 0.5, 0.9}) {
-    const auto expected = reference_index.AllPairsAboveReference(tau);
+    const auto expected = reference_engine.AllPairsAboveReference(tau);
     for (unsigned threads : {1u, 2u, 8u}) {
-      for (size_t block : {1u, 16u, 4096u}) {
-        QueryOptions options;
-        options.num_threads = threads;
-        options.block_size = block;
-        SimilarityIndex index(sketch, {}, options);
-        index.Rebuild(AllUsers(60));
-        ExpectPairsIdentical(index.AllPairsAbove(tau), expected);
-      }
+      QueryOptions options;
+      options.num_threads = threads;
+      QueryPlanner engine(sketch, {}, options);
+      engine.Rebuild(AllUsers(60));
+      ExpectPairsIdentical(engine.AllPairsAbove(tau), expected);
     }
   }
 }
 
-TEST(SimilarityIndexBatchTest, PrefilterOnOffIdenticalIncludingBoundary) {
+TEST(OneSnapshotEngineTest, PrefilterOnOffIdenticalIncludingBoundary) {
   const VosSketch sketch =
       PopulatedSketch(TestConfig(1024, 1 << 16, 41), 48, 100, 43);
   QueryOptions with, without;
   with.prefilter = true;
   without.prefilter = false;
-  SimilarityIndex filtered(sketch, {}, with);
-  SimilarityIndex unfiltered(sketch, {}, without);
+  QueryPlanner filtered(sketch, {}, with);
+  QueryPlanner unfiltered(sketch, {}, without);
   filtered.Rebuild(AllUsers(48));
   unfiltered.Rebuild(AllUsers(48));
 
@@ -266,7 +263,7 @@ TEST(SimilarityIndexBatchTest, PrefilterOnOffIdenticalIncludingBoundary) {
   }
 }
 
-TEST(SimilarityIndexBatchTest, SortedSweepIdenticalOnSkewedCardinalities) {
+TEST(OneSnapshotEngineTest, SortedSweepIdenticalOnSkewedCardinalities) {
   // Heavy-tailed set sizes exercise the cardinality-sorted window break:
   // most pairs are skipped before the popcount, and none of the skips may
   // change the result.
@@ -284,11 +281,11 @@ TEST(SimilarityIndexBatchTest, SortedSweepIdenticalOnSkewedCardinalities) {
   QueryOptions with, without;
   with.prefilter = true;
   with.num_threads = 4;
-  with.block_size = 8;
+  with.tile_rows = 8;
   without.prefilter = false;
   without.num_threads = 1;
-  SimilarityIndex filtered(sketch, {}, with);
-  SimilarityIndex unfiltered(sketch, {}, without);
+  QueryPlanner filtered(sketch, {}, with);
+  QueryPlanner unfiltered(sketch, {}, without);
   filtered.Rebuild(AllUsers(50));
   unfiltered.Rebuild(AllUsers(50));
   std::vector<double> thresholds = {0.05, 0.3, 0.5, 0.8};
@@ -303,12 +300,12 @@ TEST(SimilarityIndexBatchTest, SortedSweepIdenticalOnSkewedCardinalities) {
   }
 }
 
-TEST(SimilarityIndexBatchTest, AllPairsFindsPlantedDuplicates) {
+TEST(OneSnapshotEngineTest, AllPairsFindsPlantedDuplicates) {
   const VosSketch sketch =
       PopulatedSketch(TestConfig(4096, 1 << 18, 47), 40, 100, 51);
-  SimilarityIndex index(sketch);
-  index.Rebuild(AllUsers(40));
-  const auto pairs = index.AllPairsAbove(0.5);
+  QueryPlanner engine(sketch);
+  engine.Rebuild(AllUsers(40));
+  const auto pairs = engine.AllPairsAbove(0.5);
   // Ten planted clusters {4t, 4t+1} with true J = 0.8/1.2 ≈ 0.67.
   ASSERT_EQ(pairs.size(), 10u);
   std::unordered_set<UserId> seen;
@@ -321,16 +318,19 @@ TEST(SimilarityIndexBatchTest, AllPairsFindsPlantedDuplicates) {
   EXPECT_EQ(seen.size(), 10u);
 }
 
-TEST(SimilarityIndexBatchTest, EmptyAndSingletonCandidateSets) {
+TEST(OneSnapshotEngineTest, EmptyAndSingletonCandidateSets) {
   const VosSketch sketch = PopulatedSketch(TestConfig(), 8, 20, 53);
-  SimilarityIndex index(sketch);
-  EXPECT_TRUE(index.TopK(0, 5).empty());  // before any Rebuild
-  index.Rebuild({});
-  EXPECT_TRUE(index.TopK(0, 5).empty());
-  EXPECT_TRUE(index.AllPairsAbove(0.0).empty());
-  index.Rebuild({3});
-  EXPECT_TRUE(index.AllPairsAbove(0.0).empty());
-  EXPECT_TRUE(index.TopK(3, 5).empty());  // only candidate is the query
+  QueryPlanner engine(sketch);
+  EXPECT_TRUE(engine.TopK(0, 5).empty());  // before any Rebuild
+  EXPECT_TRUE(engine.AllPairsAbove(0.0).empty());
+  engine.Rebuild({});
+  EXPECT_TRUE(engine.TopK(0, 5).empty());
+  EXPECT_TRUE(engine.AllPairsAbove(0.0).empty());
+  EXPECT_TRUE(engine.AllPairsAboveReference(0.0).empty());
+  engine.Rebuild({3});
+  EXPECT_TRUE(engine.AllPairsAbove(0.0).empty());
+  EXPECT_TRUE(engine.TopK(3, 5).empty());  // only candidate is the query
+  EXPECT_TRUE(engine.TopKReference(3, 5).empty());
 }
 
 // ------------------------------------------------------- VosMethod fast path
@@ -358,6 +358,49 @@ TEST(VosMethodBatchCacheTest, MixedCachedAndUncachedPairsMatchDirect) {
   }
   cached.InvalidateQueryCache();
   EXPECT_EQ(cached.EstimatePair(0, 1).common, direct.EstimatePair(0, 1).common);
+}
+
+/// PrepareQuery's contract: estimates reflect the state at the call until
+/// the next PrepareQuery (which, with track_dirty on, refreshes the same
+/// tracked set incrementally) or InvalidateQueryCache (live again).
+TEST(VosMethodBatchCacheTest, EstimatesReflectStateAtPrepareQuery) {
+  const VosConfig config = TestConfig(512, 1 << 15, 63);
+  ASSERT_TRUE(config.track_dirty);
+  VosMethod cached(config, 8);
+  VosMethod direct(config, 8);
+  const auto feed = [&](const Element& e) {
+    cached.Update(e);
+    direct.Update(e);
+  };
+  for (ItemId i = 0; i < 60; ++i) {
+    feed({0, i, Action::kInsert});
+    feed({1, i, Action::kInsert});
+    feed({2, 30 + i, Action::kInsert});
+    feed({3, 1000 + i, Action::kInsert});
+  }
+  const std::vector<UserId> tracked = {0, 1, 2, 3};
+  cached.PrepareQuery(tracked);
+  const PairEstimate at_prepare = cached.EstimatePair(0, 1);
+  EXPECT_GT(at_prepare.jaccard, 0.8);
+
+  for (ItemId i = 0; i < 40; ++i) feed({1, i, Action::kDelete});
+  EXPECT_EQ(cached.EstimatePair(0, 1).common, at_prepare.common);
+  EXPECT_EQ(cached.EstimatePair(0, 1).jaccard, at_prepare.jaccard);
+
+  cached.PrepareQuery(tracked);  // same set: an incremental refresh
+  for (size_t i = 0; i < tracked.size(); ++i) {
+    for (size_t j = i + 1; j < tracked.size(); ++j) {
+      const PairEstimate a = cached.EstimatePair(tracked[i], tracked[j]);
+      const PairEstimate b = direct.EstimatePair(tracked[i], tracked[j]);
+      EXPECT_EQ(a.common, b.common) << tracked[i] << "," << tracked[j];
+      EXPECT_EQ(a.jaccard, b.jaccard) << tracked[i] << "," << tracked[j];
+    }
+  }
+  EXPECT_LT(cached.EstimatePair(0, 1).jaccard, at_prepare.jaccard);
+
+  cached.InvalidateQueryCache();
+  for (ItemId i = 0; i < 10; ++i) feed({2, 500 + i, Action::kInsert});
+  EXPECT_EQ(cached.EstimatePair(2, 0).common, direct.EstimatePair(2, 0).common);
 }
 
 }  // namespace

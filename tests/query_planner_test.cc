@@ -1,11 +1,13 @@
-// Tests for the shard-aware query tier: QueryPlanner must return exactly
-// the pair set of the per-pair ShardedVosSketch::EstimatePair reference —
-// bit-identical estimates on same-shard AND cross-shard pairs (the §IV
-// correction generalized to (1−2β_A)(1−2β_B)) — for every shard count,
-// planner thread count, threshold and prefilter setting; TopK must match
-// its brute-force reference under the shared-bound pruning; and the
-// incremental Refresh path must land on the same snapshots as a fresh
-// Rebuild.
+// Tests for the query engine: QueryPlanner must return exactly the pair
+// set of its per-pair reference — bit-identical estimates on same-shard
+// AND cross-shard pairs (the §IV correction generalized to
+// (1−2β_A)(1−2β_B)) — for every shard count, planner thread count,
+// threshold and prefilter setting; TopK must match its brute-force
+// reference under the shared-bound pruning; the engine over a plain
+// VosSketch must equal the engine over a 1-shard ShardedVosSketch bit for
+// bit; the incremental Refresh path must land on the same snapshots as a
+// fresh Rebuild; and ids that are out of range or repeated must stop the
+// engine instead of corrupting it.
 
 #include <gtest/gtest.h>
 
@@ -127,7 +129,6 @@ TEST(QueryPlannerTest, AllPairsMatchesReferenceAcrossShardsAndThreads) {
           QueryOptions options;
           options.num_threads = threads;
           options.prefilter = prefilter;
-          options.block_size = 16;  // several cross-shard blocks per pass
           QueryPlanner planner(sketch, {}, options);
           planner.Rebuild(candidates);
           ExpectPairsIdentical(
@@ -142,41 +143,71 @@ TEST(QueryPlannerTest, AllPairsMatchesReferenceAcrossShardsAndThreads) {
   }
 }
 
-/// With one shard the planner IS the single global index: same pair set
-/// and bit-identical estimates as SimilarityIndex over an equivalent
-/// standalone VosSketch.
-TEST(QueryPlannerTest, SingleShardEqualsGlobalSimilarityIndex) {
+/// The engine over a plain VosSketch is the one-shard case of the
+/// sharded engine: with the same config and stream, every answer — TopK
+/// for a candidate and a non-candidate query, AllPairsAbove at several τ,
+/// the per-pair estimate (snapshot and live) — is bit-identical, before
+/// and after an incremental Refresh.
+TEST(QueryPlannerTest, PlainSketchEngineEqualsOneShardEngine) {
   const UserId users = 64;
   const std::vector<Element> elements = CommunityStream(users, 50, 11);
   const ShardedVosConfig config = PlannerConfig(1);
-
   ShardedVosSketch sharded(config, users);
-  VosSketch plain(ShardedVosSketch::ShardConfig(config, 1 - 1), users);
+  VosSketch plain(ShardedVosSketch::ShardConfig(config, 0), users);
   for (const Element& e : elements) {
     sharded.Update(e);
     plain.Update(e);
   }
-
+  // Users 60..63 stay out of the candidate set: live-extraction paths.
   std::vector<UserId> candidates;
-  for (UserId u = 0; u < users; ++u) candidates.push_back(u);
+  for (UserId u = 0; u < users - 4; ++u) candidates.push_back(u);
 
-  QueryPlanner planner(sharded);
-  planner.Rebuild(candidates);
-  SimilarityIndex index(plain);
-  index.Rebuild(candidates);
+  QueryOptions options;
+  options.num_threads = 2;
+  options.incremental = true;
+  QueryPlanner from_sharded(sharded, {}, options);
+  QueryPlanner from_plain(plain, {}, options);
+  from_sharded.Rebuild(candidates);
+  from_plain.Rebuild(candidates);
+  EXPECT_EQ(from_plain.num_shards(), 1u);
 
-  const double tau = 0.3;
-  const auto from_planner = planner.AllPairsAbove(tau);
-  const auto from_index = index.AllPairsAbove(tau);
-  ASSERT_EQ(from_planner.size(), from_index.size());
-  for (size_t i = 0; i < from_planner.size(); ++i) {
-    // The planner canonicalizes u < v by id; the candidate list is
-    // id-sorted here, so the index emits the same orientation.
-    EXPECT_EQ(from_planner[i].u, from_index[i].u);
-    EXPECT_EQ(from_planner[i].v, from_index[i].v);
-    EXPECT_EQ(from_planner[i].common, from_index[i].common);
-    EXPECT_EQ(from_planner[i].jaccard, from_index[i].jaccard);
+  const auto expect_identical = [&](const std::string& when) {
+    for (const double tau : {0.0, 0.3, 0.6}) {
+      const auto pairs = from_plain.AllPairsAbove(tau);
+      if (tau > 0.0) {
+        EXPECT_FALSE(pairs.empty()) << when << " tau=" << tau;
+      }
+      ExpectPairsIdentical(pairs, from_sharded.AllPairsAbove(tau),
+                           when + " tau=" + std::to_string(tau));
+    }
+    for (const UserId query : {UserId{0}, UserId{users - 2}}) {
+      ExpectEntriesIdentical(from_plain.TopK(query, 6),
+                             from_sharded.TopK(query, 6),
+                             when + " query=" + std::to_string(query));
+    }
+    for (const auto& [u, v] : {std::pair<UserId, UserId>{0, 1},
+                               {4, 5},
+                               {2, 9},
+                               {1, users - 1}}) {
+      const PairEstimate a = from_plain.EstimatePair(u, v);
+      const PairEstimate b = from_sharded.EstimatePair(u, v);
+      EXPECT_EQ(a.common, b.common) << when << " (" << u << "," << v << ")";
+      EXPECT_EQ(a.jaccard, b.jaccard) << when;
+    }
+  };
+  expect_identical("rebuilt");
+
+  ItemId next_item = 1 << 29;
+  for (const UserId touched : {UserId{1}, UserId{8}, UserId{62}}) {
+    for (int i = 0; i < 3; ++i) {
+      const Element e{touched, next_item++, Action::kInsert};
+      sharded.Update(e);
+      plain.Update(e);
+    }
   }
+  EXPECT_TRUE(from_plain.Refresh());
+  EXPECT_TRUE(from_sharded.Refresh());
+  expect_identical("refreshed");
 }
 
 /// Cross-shard estimates follow the documented model exactly:
@@ -221,7 +252,9 @@ TEST(QueryPlannerTest, CrossShardEstimatesMatchTwoBetaModel) {
 }
 
 TEST(QueryPlannerTest, TopKMatchesReferenceWithSharedBoundPruning) {
-  const UserId users = 60;
+  // Enough rows that 8 threads split every shard into row chunks (at
+  // S = 1 and 3), so the shared bound also crosses chunks of one shard.
+  const UserId users = 800;
   const std::vector<Element> elements = CommunityStream(users, 50, 17);
   for (const uint32_t shards : {1u, 3u, 4u}) {
     ShardedVosSketch sketch(PlannerConfig(shards), users);
@@ -452,6 +485,46 @@ TEST(QueryPlannerTest, EmptyAndDegenerateInputs) {
   EXPECT_TRUE(planner.AllPairsAbove(0.1).empty());
   EXPECT_TRUE(planner.TopK(3, 5).empty());
   EXPECT_TRUE(planner.TopK(3, 0).empty());
+}
+
+/// Every id that enters the engine is bounds-checked: at S = 1 the local
+/// id is the global id and VosSketch::Cardinality does not check, so an
+/// out-of-range candidate, TopK query or EstimatePair endpoint used to
+/// read past the per-user arrays instead of stopping.
+TEST(QueryPlannerDeathTest, OutOfRangeIdsStopTheEngine) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const UserId users = 10;
+  const auto expect_checks = [&](QueryPlanner& planner) {
+    EXPECT_DEATH(planner.Rebuild({0, 1, 2, 5000000}), "out of range");
+    planner.Rebuild({0, 1, 2});
+    EXPECT_DEATH((void)planner.TopK(9000000, 2), "out of range");
+    EXPECT_DEATH((void)planner.EstimatePair(1, 9000000), "out of range");
+    EXPECT_DEATH((void)planner.EstimatePair(users, 1), "out of range");
+  };
+  for (const uint32_t shards : {1u, 4u}) {
+    ShardedVosSketch sketch(PlannerConfig(shards), users);
+    QueryPlanner planner(sketch);
+    expect_checks(planner);
+  }
+  VosSketch plain(PlannerConfig(1).base, users);
+  QueryPlanner planner(plain);
+  expect_checks(planner);
+}
+
+/// A repeated candidate would be scanned against itself (a self-pair at
+/// Ĵ = 1) and reported twice by AllPairsAbove and TopK.
+TEST(QueryPlannerDeathTest, DuplicateCandidatesAreRejected) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const UserId users = 10;
+  for (const uint32_t shards : {1u, 4u}) {
+    ShardedVosSketch sketch(PlannerConfig(shards), users);
+    QueryPlanner planner(sketch);
+    EXPECT_DEATH(planner.Rebuild({1, 1, 2}), "duplicate candidates")
+        << "shards=" << shards;
+  }
+  VosSketch plain(PlannerConfig(1).base, users);
+  QueryPlanner planner(plain);
+  EXPECT_DEATH(planner.Rebuild({1, 2, 1}), "duplicate candidates");
 }
 
 }  // namespace

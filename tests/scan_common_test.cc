@@ -1,7 +1,7 @@
 // Unit tests for the shared pair-scan building blocks (core/scan_common.h):
 // the RunIndexed worker-pool helper — including the threads == 0 clamp
 // that used to underflow the unsigned pool reservation — and the result
-// total orders both scan engines sort to.
+// total orders the query engine sorts to.
 
 #include <gtest/gtest.h>
 
@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "core/scan_common.h"
-#include "core/similarity_index.h"
 
 namespace vos::core::scan {
 namespace {
@@ -50,17 +49,17 @@ TEST(RunIndexedTest, MoreThreadsThanWorkStillCoversOnce) {
 }
 
 TEST(ScanOrderTest, EntryAndPairOrdersAreStrictTotalOrders) {
-  const SimilarityIndex::Entry a{1, 0.0, 0.9};
-  const SimilarityIndex::Entry b{2, 0.0, 0.9};
-  const SimilarityIndex::Entry c{0, 0.0, 0.5};
+  const Entry a{1, 0.0, 0.9};
+  const Entry b{2, 0.0, 0.9};
+  const Entry c{0, 0.0, 0.5};
   EXPECT_TRUE(EntryBefore(a, b));   // tie on Ĵ → user ascending
   EXPECT_FALSE(EntryBefore(b, a));
   EXPECT_TRUE(EntryBefore(a, c));   // Ĵ descending dominates
   EXPECT_FALSE(EntryBefore(a, a));  // irreflexive
 
-  const SimilarityIndex::Pair p{1, 2, 0.0, 0.8};
-  const SimilarityIndex::Pair q{1, 3, 0.0, 0.8};
-  const SimilarityIndex::Pair r{0, 9, 0.0, 0.9};
+  const Pair p{1, 2, 0.0, 0.8};
+  const Pair q{1, 3, 0.0, 0.8};
+  const Pair r{0, 9, 0.0, 0.9};
   EXPECT_TRUE(PairBefore(p, q));   // tie on Ĵ → (u, v) ascending
   EXPECT_TRUE(PairBefore(r, p));   // Ĵ descending dominates
   EXPECT_FALSE(PairBefore(p, p));  // irreflexive

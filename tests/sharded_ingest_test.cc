@@ -593,6 +593,47 @@ TEST(ShardedVosMethodTest, CachedAndUncachedEstimatesAgree) {
             uncached[0].common);
 }
 
+/// The method's snapshot is incremental exactly when the shards track
+/// dirty users: a PrepareQuery over the same tracked set then patches the
+/// snapshots instead of re-extracting them, and a different set rebuilds.
+TEST(ShardedVosMethodTest, PrepareQueryRefreshesWhenShardsTrackDirtyUsers) {
+  const UserId users = 30;
+  const std::vector<Element> elements = DynamicStream(users, 3000, 73);
+  std::vector<UserId> tracked;
+  for (UserId u = 0; u < users; u += 2) tracked.push_back(u);
+  for (const bool track_dirty : {false, true}) {
+    ShardedVosConfig config = TestConfig(4, 0);
+    config.base.track_dirty = track_dirty;
+    ShardedVosMethod method(config, users);
+    EXPECT_EQ(method.planner().query_options().incremental, track_dirty);
+    method.UpdateBatch(elements.data(), elements.size());
+    method.PrepareQuery(tracked);
+    method.Update({tracked[0], 1u << 29, Action::kInsert});
+    method.PrepareQuery(tracked);
+    double dirty = 0.0;
+    for (uint32_t s = 0; s < 4; ++s) {
+      dirty += method.planner().shard_index(s).last_refresh_dirty_fraction();
+    }
+    if (track_dirty) {
+      EXPECT_LT(dirty, 1.0) << "one changed user must not rebuild a shard";
+    } else {
+      EXPECT_EQ(dirty, 4.0);
+    }
+    for (size_t i = 1; i < tracked.size(); ++i) {
+      const PairEstimate cached = method.EstimatePair(tracked[0], tracked[i]);
+      const PairEstimate live =
+          method.sketch().EstimatePair(tracked[0], tracked[i]);
+      EXPECT_EQ(cached.common, live.common) << "track_dirty=" << track_dirty;
+      EXPECT_EQ(cached.jaccard, live.jaccard);
+    }
+    method.PrepareQuery({1, 3, 5});  // a different set: rebuilt
+    for (uint32_t s = 0; s < 4; ++s) {
+      EXPECT_EQ(method.planner().shard_index(s).last_refresh_dirty_fraction(),
+                1.0);
+    }
+  }
+}
+
 /// Producer-lane plumbing through the SimilarityMethod interface: driving
 /// "VOS-sharded" with concurrent lanes via the base-class virtuals lands
 /// on the state of the default single-producer path.
