@@ -15,6 +15,8 @@
 
 #include "common/csv_writer.h"
 #include "common/flags.h"
+#include "common/kernels.h"
+#include "common/logging.h"
 #include "common/table_printer.h"
 #include "stream/dataset.h"
 
@@ -158,6 +160,68 @@ inline void PrintBanner(const std::string& title, const Flags& flags) {
     std::printf("\n");
   }
   std::printf("\n");
+}
+
+/// The kernel-tier benches' --dispatch flag, once applied.
+struct DispatchChoice {
+  /// What automatic dispatch picked (CPU probe, or VOS_DISPATCH) before
+  /// any override.
+  kernels::DispatchLevel auto_level;
+  /// "kernel" column of the rows that are not per-level: "auto" for
+  /// probe-picked runs, so row keys stay machine-independent, else the
+  /// forced level's name.
+  std::string tag;
+};
+
+/// Applies --dispatch=auto|scalar|neon|avx2|avx512: any value but "auto"
+/// forces that kernel level for the whole run. Aborts on an unknown level
+/// or one this build + CPU lacks.
+inline DispatchChoice ApplyDispatchFlag(const Flags& flags) {
+  DispatchChoice choice{kernels::ActiveLevel(), "auto"};
+  const std::string dispatch = flags.GetString("dispatch", "auto");
+  if (dispatch != "auto") {
+    kernels::DispatchLevel forced;
+    VOS_CHECK(kernels::ParseDispatchLevel(dispatch.c_str(), &forced))
+        << "--dispatch must be auto|scalar|neon|avx2|avx512, got" << dispatch;
+    VOS_CHECK(kernels::SetDispatchLevel(forced))
+        << "dispatch level" << dispatch
+        << "is not available on this build/CPU";
+    choice.tag = kernels::LevelName(forced);
+  }
+  return choice;
+}
+
+/// One kernel's best time at one dispatch level.
+struct LevelSeconds {
+  kernels::DispatchLevel level;
+  double seconds;
+};
+
+/// A level keeps a kernel only where it wins: prints one WARN line when
+/// `auto_level` timed more than 10% slower at `kernel` than the fastest
+/// lower level in `timings`.
+inline void WarnIfAutoLevelLoses(const std::string& kernel,
+                                 kernels::DispatchLevel auto_level,
+                                 const std::vector<LevelSeconds>& timings) {
+  const LevelSeconds* picked = nullptr;
+  const LevelSeconds* best_lower = nullptr;
+  for (const LevelSeconds& t : timings) {
+    if (t.level == auto_level) {
+      picked = &t;
+    } else if (t.level < auto_level &&
+               (best_lower == nullptr || t.seconds < best_lower->seconds)) {
+      best_lower = &t;
+    }
+  }
+  if (picked == nullptr || best_lower == nullptr) return;
+  if (picked->seconds > 1.10 * best_lower->seconds) {
+    std::printf("WARN %s: auto-picked level %s takes %.4g s, %.0f%% slower "
+                "than %s at %.4g s\n",
+                kernel.c_str(), kernels::LevelName(picked->level),
+                picked->seconds,
+                100.0 * (picked->seconds / best_lower->seconds - 1.0),
+                kernels::LevelName(best_lower->level), best_lower->seconds);
+  }
 }
 
 }  // namespace vos::bench

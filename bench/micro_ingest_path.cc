@@ -18,11 +18,16 @@
 // streams before any timing is reported.
 //
 // Phase "routing": producer-side routing bandwidth per kernel dispatch
-// level (common/kernels.h) — ShardRouter::Tag over the full element
-// stream, the pure hash+reduce kernel every sharded pipeline runs before
-// any queueing. Each level's tags are verified identical to the scalar
-// table's before timing; the speedup column divides by the scalar level,
-// so this row is the dispatch tier's ingest-side acceptance signal.
+// level (common/kernels.h). "shard-tag" rows time ShardRouter::Tag over
+// the full element stream, the pure hash+reduce kernel every sharded
+// pipeline runs before any queueing; "dense-route" rows time
+// DenseShardMap::Route, the same kernel plus the local-id lookup
+// (route_batch with local_of != nullptr). Each level's output is
+// verified identical to the scalar table's before timing; the speedup
+// column divides by the scalar level, so these rows are the dispatch
+// tier's ingest-side acceptance signal. A WARN line follows the phase
+// for each row kind whose auto-picked level runs more than 10% slower
+// than a lower level.
 //
 // Phase "checkpoint": ShardedVosSketch::Checkpoint/Restore wall time and
 // bandwidth at --shards (the PR 6 durability path: atomic CRC-checked v3
@@ -186,25 +191,13 @@ int main(int argc, char** argv) {
   config.m = static_cast<uint64_t>(flags.GetInt("m", int64_t{1} << 25));
   config.seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
 
-  // --dispatch forces a kernel level for the whole run; the default keeps
-  // the CPUID probe's pick. Rows carry the tag in the "kernel" column —
-  // "auto" for probe-picked runs so row keys stay machine-independent.
-  const std::string dispatch = flags.GetString("dispatch", "auto");
-  std::string kernel_tag = "auto";
-  if (dispatch != "auto") {
-    kernels::DispatchLevel forced;
-    VOS_CHECK(kernels::ParseDispatchLevel(dispatch.c_str(), &forced))
-        << "--dispatch must be auto|scalar|neon|avx2|avx512, got" << dispatch;
-    VOS_CHECK(kernels::SetDispatchLevel(forced))
-        << "dispatch level" << dispatch
-        << "is not available on this build/CPU";
-    kernel_tag = kernels::LevelName(forced);
-  }
+  const DispatchChoice dispatch = ApplyDispatchFlag(flags);
+  const std::string& kernel_tag = dispatch.tag;
 
   PrintBanner("micro_ingest_path — sharded ingestion + incremental index",
               flags);
   std::printf("kernel dispatch: %s (requested %s)\n",
-              kernels::Active().name, dispatch.c_str());
+              kernels::Active().name, kernel_tag.c_str());
   const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
   std::printf("NUMA: %zu node(s); worker pinning %s\n",
               numa::Detect().num_nodes(), pin_threads ? "ON" : "off");
@@ -398,21 +391,32 @@ int main(int argc, char** argv) {
   }
 
   // ------------------------------------------------------------- routing
-  // Routing bandwidth per kernel dispatch level: ShardRouter::Tag over
-  // the full element stream (one Mix64 + one range-reduction per
-  // element), swept enough times to be timeable. Tags verified identical
-  // to the scalar table's before timing; speedup divides by scalar.
+  // Routing bandwidth per kernel dispatch level: ShardRouter::Tag and
+  // DenseShardMap::Route over the full element stream (one Mix64 + one
+  // range-reduction per element, plus the local-id lookup for Route),
+  // swept enough times to be timeable. Output verified identical to the
+  // scalar table's before timing; speedup divides by scalar. Route
+  // rewrites user ids in place, so each sweep routes a fresh copy of the
+  // stream; the copy is timed at every level alike.
   {
     const kernels::DispatchLevel restore_level = kernels::ActiveLevel();
     const stream::ShardRouter router(max_shards, config.seed);
+    const stream::DenseShardMap dense_map(router, users);
     const size_t route_sweeps =
         std::max<size_t>(1, 2'000'000 / std::max<size_t>(1, elements.size()));
     std::vector<uint16_t> ref_tags(elements.size());
+    std::vector<Element> ref_routed = elements;
+    std::vector<uint16_t> ref_dense_tags(elements.size());
     VOS_CHECK(kernels::SetDispatchLevel(kernels::DispatchLevel::kScalar));
     router.Tag(elements.data(), elements.size(), ref_tags.data());
+    dense_map.Route(ref_routed.data(), ref_routed.size(),
+                    ref_dense_tags.data());
     std::vector<uint16_t> tags(elements.size());
-    double route_scalar_seconds = 0.0;
-    size_t levels_verified = 0;
+    std::vector<Element> routed(elements.size());
+    double tag_scalar_seconds = 0.0;
+    double dense_scalar_seconds = 0.0;
+    std::vector<LevelSeconds> tag_timings;
+    std::vector<LevelSeconds> dense_timings;
     for (const kernels::DispatchLevel level : kernels::AvailableLevels()) {
       VOS_CHECK(kernels::SetDispatchLevel(level));
       const kernels::KernelTable& kernel = kernels::Active();
@@ -420,25 +424,56 @@ int main(int argc, char** argv) {
       router.Tag(elements.data(), elements.size(), tags.data());
       VOS_CHECK(tags == ref_tags)
           << kernel.name << " routing diverges from scalar";
-      const double route_seconds = BestSeconds(repeats, [&] {
+      std::fill(tags.begin(), tags.end(), uint16_t{0xffff});
+      routed = elements;
+      dense_map.Route(routed.data(), routed.size(), tags.data());
+      VOS_CHECK(tags == ref_dense_tags)
+          << kernel.name << " dense routing tags diverge from scalar";
+      for (size_t i = 0; i < routed.size(); ++i) {
+        VOS_CHECK(routed[i].user == ref_routed[i].user)
+            << kernel.name << " dense routing local ids diverge from scalar";
+      }
+
+      const double tag_seconds = BestSeconds(repeats, [&] {
         for (size_t s = 0; s < route_sweeps; ++s) {
           router.Tag(elements.data(), elements.size(), tags.data());
         }
       });
       if (level == kernels::DispatchLevel::kScalar) {
-        route_scalar_seconds = route_seconds;
+        tag_scalar_seconds = tag_seconds;
       }
+      tag_timings.push_back({level, tag_seconds});
       emit_row("routing", "shard-tag", kernel.name, max_shards, 1, 1,
-               route_seconds,
+               tag_seconds,
                static_cast<double>(elements.size() * route_sweeps) /
-                   route_seconds,
-               "routes/s", route_scalar_seconds / route_seconds, "");
-      ++levels_verified;
+                   tag_seconds,
+               "routes/s", tag_scalar_seconds / tag_seconds, "");
+
+      const double dense_seconds = BestSeconds(repeats, [&] {
+        for (size_t s = 0; s < route_sweeps; ++s) {
+          std::copy(elements.begin(), elements.end(), routed.begin());
+          dense_map.Route(routed.data(), routed.size(), tags.data());
+        }
+      });
+      if (level == kernels::DispatchLevel::kScalar) {
+        dense_scalar_seconds = dense_seconds;
+      }
+      dense_timings.push_back({level, dense_seconds});
+      emit_row("routing", "dense-route", kernel.name, max_shards, 1, 1,
+               dense_seconds,
+               static_cast<double>(elements.size() * route_sweeps) /
+                   dense_seconds,
+               "routes/s", dense_scalar_seconds / dense_seconds, "");
     }
     VOS_CHECK(kernels::SetDispatchLevel(restore_level));
     std::printf("routing: %zu dispatch level(s) verified identical to "
-                "scalar before timing\n\n",
-                levels_verified);
+                "scalar before timing\n",
+                tag_timings.size());
+    WarnIfAutoLevelLoses("routing shard-tag", dispatch.auto_level,
+                         tag_timings);
+    WarnIfAutoLevelLoses("routing dense-route", dispatch.auto_level,
+                         dense_timings);
+    std::printf("\n");
   }
 
   // --------------------------------------------------------------- checkpoint

@@ -27,7 +27,9 @@
 // output is verified bit-identical to the scalar reference table before
 // its timing counts, and the speedup column divides by the scalar level's
 // time — so these rows measure exactly what runtime dispatch buys on this
-// host, inside the same JSON schema bench_compare.py trends on.
+// host, inside the same JSON schema bench_compare.py trends on. A WARN
+// line follows the phase for each kernel whose auto-picked level runs
+// more than 10% slower than a lower level.
 //
 // The "hot_shard" phase is the tiled tier's acceptance signal
 // (core/pair_scan.h): the candidate set is skewed so one shard owns most
@@ -145,25 +147,13 @@ int main(int argc, char** argv) {
   config.m = static_cast<uint64_t>(flags.GetInt("m", int64_t{1} << 23));
   config.seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
 
-  // --dispatch forces a kernel level for the whole run; the default keeps
-  // the CPUID probe's pick. Rows carry the tag in the "kernel" column —
-  // "auto" for probe-picked runs so row keys stay machine-independent.
-  const std::string dispatch = flags.GetString("dispatch", "auto");
-  std::string kernel_tag = "auto";
-  if (dispatch != "auto") {
-    kernels::DispatchLevel forced;
-    VOS_CHECK(kernels::ParseDispatchLevel(dispatch.c_str(), &forced))
-        << "--dispatch must be auto|scalar|neon|avx2|avx512, got" << dispatch;
-    VOS_CHECK(kernels::SetDispatchLevel(forced))
-        << "dispatch level" << dispatch
-        << "is not available on this build/CPU";
-    kernel_tag = kernels::LevelName(forced);
-  }
+  const DispatchChoice dispatch = ApplyDispatchFlag(flags);
+  const std::string& kernel_tag = dispatch.tag;
 
   PrintBanner("micro_query_path — scalar reference vs. batch query engine",
               flags);
   std::printf("kernel dispatch: %s (requested %s)\n",
-              kernels::Active().name, dispatch.c_str());
+              kernels::Active().name, kernel_tag.c_str());
 
   const std::vector<Element> elements =
       BuildElements(users, edges_per_user, dist == "zipf");
@@ -256,7 +246,8 @@ int main(int argc, char** argv) {
 
     double ham_scalar_seconds = 0.0;
     double extract_scalar_seconds = 0.0;
-    size_t levels_verified = 0;
+    std::vector<LevelSeconds> ham_timings;
+    std::vector<LevelSeconds> extract_timings;
     for (const kernels::DispatchLevel level : kernels::AvailableLevels()) {
       VOS_CHECK(kernels::SetDispatchLevel(level));
       const kernels::KernelTable& kernel = kernels::Active();
@@ -284,6 +275,7 @@ int main(int argc, char** argv) {
       if (level == kernels::DispatchLevel::kScalar) {
         ham_scalar_seconds = ham_seconds;
       }
+      ham_timings.push_back({level, ham_seconds});
       emit_row("kernel_hamming", "xor_popcount8", kernel.name, 1, ham_seconds,
                static_cast<double>(ham_pairs * sweeps) / ham_seconds,
                "pairs/s", ham_scalar_seconds / ham_seconds);
@@ -306,15 +298,18 @@ int main(int argc, char** argv) {
       if (level == kernels::DispatchLevel::kScalar) {
         extract_scalar_seconds = extract_seconds;
       }
+      extract_timings.push_back({level, extract_seconds});
       emit_row("kernel_extract", "extract_bits", kernel.name, 1,
                extract_seconds, users / extract_seconds, "users/s",
                extract_scalar_seconds / extract_seconds);
-      ++levels_verified;
     }
     VOS_CHECK(kernels::SetDispatchLevel(restore_level));
     std::printf("\nkernel tier: %zu dispatch level(s) verified bit-identical "
                 "to scalar before timing.\n",
-                levels_verified);
+                extract_timings.size());
+    WarnIfAutoLevelLoses("kernel_hamming", dispatch.auto_level, ham_timings);
+    WarnIfAutoLevelLoses("kernel_extract", dispatch.auto_level,
+                         extract_timings);
   }
 
   // ----------------------------------------------------------- all-pairs

@@ -4,10 +4,13 @@
 //
 // One Release binary built for baseline x86-64 (or aarch64) carries every
 // implementation the compiler could produce — scalar always, plus AVX2
-// (Harley–Seal popcount, 4-lane hash/gather), AVX-512 (VPOPCNTDQ, 8-lane
-// hash/gather with mask-register bit packing) and NEON (vcnt) variants
-// compiled in their own translation units with per-file ISA flags — and
-// picks the best one the *running* CPU supports at first use. This
+// (Harley–Seal popcount, 4-lane hashing), AVX-512 (VPOPCNTDQ, 8-lane
+// hashing with masked ragged tails and mask-register bit packing) and
+// NEON (vcnt) variants compiled in their own translation units with
+// per-file ISA flags — and picks the best one the *running* CPU supports
+// at first use. Both x86 extraction kernels hash a whole 64-cell output
+// word before gathering its cells, so a word's gathers overlap instead of
+// each waiting on its own hash chain. This
 // replaces the old model where the Hamming kernels only vectorized under
 // a -march=native build, which pinned a binary to the build machine's
 // microarchitecture (see CMakeLists.txt VOS_NATIVE_ARCH, now a pure

